@@ -133,8 +133,8 @@ class AnalysisManager:
 
     def stats_since(self, mark: dict[str, int]) -> dict[str, int]:
         """The counter deltas since a :meth:`stats` snapshot -- what one
-        pipeline run contributes when a process-lifetime manager (a
-        ``repro serve`` pool worker's) serves many runs."""
+        pipeline run contributes when a process-lifetime manager (the
+        ``repro serve`` serial path's) serves many runs."""
         return {name: value - mark.get(name, 0)
                 for name, value in self.stats().items()}
 

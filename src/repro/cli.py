@@ -221,38 +221,42 @@ def cmd_experiments(args) -> int:
 
 def cmd_tables(args) -> int:
     from .benchgen import all_suites
+    from .parallel import shared_pool
     from .pipeline import TABLE_EXPERIMENTS
 
     suites = all_suites()
     ledger = resolve_ledger(args.ledger)
     traced = bool(args.stats_json or ledger is not None)
     runs = []
-    for table, experiments in TABLE_EXPERIMENTS.items():
-        print(f"--- {table} ---")
-        header = "suite".ljust(13) + "".join(
-            e.rjust(14) for e in experiments)
-        print(header)
-        for suite in suites:
-            results = run_table(
-                suite.module, table,
-                tracer=Tracer if traced else None,
-                jobs=args.jobs, cache=args.cache_dir,
-                metrics=MetricsRegistry if _wants_metrics(args) else None)
-            cells = []
-            for result in results:
-                value = result.weighted if args.weighted else result.moves
-                cells.append(str(value).rjust(14))
-                if args.stats_json:
-                    document = result.to_stats()
-                    document["table"] = table
-                    document["suite"] = suite.name
-                    runs.append(document)
-                if ledger is not None:
-                    _append_ledger(ledger, result, suite=suite.name,
-                                   options=None, jobs=args.jobs,
-                                   wall_s=_breakdown_wall(result),
-                                   extra={"table": table})
-            print(suite.name.ljust(13) + "".join(cells))
+    with shared_pool(args.jobs) as pool:
+        for table, experiments in TABLE_EXPERIMENTS.items():
+            print(f"--- {table} ---")
+            header = "suite".ljust(13) + "".join(
+                e.rjust(14) for e in experiments)
+            print(header)
+            for suite in suites:
+                results = run_table(
+                    suite.module, table,
+                    tracer=Tracer if traced else None,
+                    jobs=args.jobs, cache=args.cache_dir, pool=pool,
+                    metrics=MetricsRegistry if _wants_metrics(args)
+                    else None)
+                cells = []
+                for result in results:
+                    value = result.weighted if args.weighted \
+                        else result.moves
+                    cells.append(str(value).rjust(14))
+                    if args.stats_json:
+                        document = result.to_stats()
+                        document["table"] = table
+                        document["suite"] = suite.name
+                        runs.append(document)
+                    if ledger is not None:
+                        _append_ledger(ledger, result, suite=suite.name,
+                                       options=None, jobs=args.jobs,
+                                       wall_s=_breakdown_wall(result),
+                                       extra={"table": table})
+                print(suite.name.ljust(13) + "".join(cells))
     if args.stats_json:
         _write_json(args.stats_json,
                     {"schema": COLLECTION_SCHEMA, "runs": runs})

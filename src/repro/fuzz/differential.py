@@ -269,13 +269,16 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
                  invariants: Sequence[tuple[str, str]] = DEFAULT_INVARIANTS,
                  jobs: int = 4,
                  seed: int = -1,
-                 profile: str = "") -> SeedResult:
+                 profile: str = "",
+                 pool=None) -> SeedResult:
     """Run every requested failure predicate on one LAI program.
 
     *source* is LAI text of a (typically pre-SSA) module; *verify* is
     the ``(function, args)`` list whose interpreter traces define
     observable behaviour.  Returns a :class:`SeedResult` whose
     ``divergences`` is empty iff the program survives everything.
+    ``pool`` (a :class:`~repro.parallel.WorkerPool`) runs the
+    ``parallel`` check on the caller's pool instead of opening one.
     """
     checks = tuple(checks)
     names = tuple(experiments) if experiments is not None \
@@ -381,7 +384,8 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
         if fork_available():
             try:
                 sharded = run_experiment(module, ANCHOR_COMPOSITION,
-                                         verify=verify, jobs=jobs)
+                                         verify=verify, jobs=jobs,
+                                         pool=pool)
                 if format_module(sharded.module) != anchor:
                     report(Divergence(
                         "parallel", ANCHOR_COMPOSITION, "mismatch",
@@ -429,7 +433,7 @@ def check_seed(seed: int, profile: str = "default",
                checks: Sequence[str] = ALL_CHECKS,
                experiments: Optional[Sequence[str]] = None,
                invariants: Sequence[tuple[str, str]] = DEFAULT_INVARIANTS,
-               jobs: int = 4) -> SeedResult:
+               jobs: int = 4, pool=None) -> SeedResult:
     """Generate the program for ``(seed, profile)`` and run
     :func:`check_module` on it."""
     config = config if config is not None else profile_config(profile)
@@ -438,7 +442,7 @@ def check_seed(seed: int, profile: str = "default",
     verify = verify_runs(seed, n_functions, config, name)
     return check_module(source, verify, checks=checks,
                         experiments=experiments, invariants=invariants,
-                        jobs=jobs, seed=seed, profile=profile)
+                        jobs=jobs, seed=seed, profile=profile, pool=pool)
 
 
 def run_fuzz(seeds: Iterable[int],
@@ -458,6 +462,8 @@ def run_fuzz(seeds: Iterable[int],
     ``max_seconds`` time-boxes the sweep (finishing the in-flight
     program); ``on_result`` observes every program, failing or not.
     """
+    from ..parallel import shared_pool
+
     expanded: list[str] = []
     for profile in profiles:
         if profile == "all":
@@ -466,26 +472,30 @@ def run_fuzz(seeds: Iterable[int],
             expanded.append(profile)
     report = FuzzReport(checks=tuple(checks))
     start = time.monotonic()
-    for seed in seeds:
-        for profile in expanded:
-            result = check_seed(seed, profile, n_functions,
-                                checks=checks, experiments=experiments,
-                                invariants=invariants, jobs=jobs)
-            report.programs += 1
-            report.functions += result.functions
-            if not result.ok:
-                report.failures.append(result)
-            else:
-                for label, moves in result.moves.items():
-                    report.move_totals[label] = \
-                        report.move_totals.get(label, 0) + moves
-            if on_result is not None:
-                on_result(result)
-        report.seeds += 1
-        if max_seconds is not None \
-                and time.monotonic() - start >= max_seconds:
-            report.timed_out = True
-            break
+    # One pool for the whole sweep: the ``parallel`` check of every
+    # program reuses the same forked workers.
+    with shared_pool(jobs if "parallel" in checks else 1) as pool:
+        for seed in seeds:
+            for profile in expanded:
+                result = check_seed(seed, profile, n_functions,
+                                    checks=checks, experiments=experiments,
+                                    invariants=invariants, jobs=jobs,
+                                    pool=pool)
+                report.programs += 1
+                report.functions += result.functions
+                if not result.ok:
+                    report.failures.append(result)
+                else:
+                    for label, moves in result.moves.items():
+                        report.move_totals[label] = \
+                            report.move_totals.get(label, 0) + moves
+                if on_result is not None:
+                    on_result(result)
+            report.seeds += 1
+            if max_seconds is not None \
+                    and time.monotonic() - start >= max_seconds:
+                report.timed_out = True
+                break
     if "invariants" in report.checks:
         irreducible_swept = any(
             FUZZ_PROFILES[p].irreducible_prob > 0

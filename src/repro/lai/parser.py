@@ -285,15 +285,16 @@ class Parser:
         # Forms:  call f(a, b)          no results
         #         call d = f(a, b)      one result
         #         call d, e = f(a)      several results
-        start = self.pos
+        #         call $R0 = f($R0)     register results (ABI-lowered)
         operands: list[Operand] = []
         callee: Optional[str] = None
         token = self._peek()
-        if token.kind != "IDENT":
+        if token.kind not in ("IDENT", "REG"):
             raise self._error(
                 "malformed call: expected callee or result list", token)
         # Lookahead: IDENT '(' means no-result form.
-        if (self.tokens[self.pos + 1].kind == "PUNCT"
+        if (token.kind == "IDENT"
+                and self.tokens[self.pos + 1].kind == "PUNCT"
                 and self.tokens[self.pos + 1].text == "("):
             callee = self._next().text
         else:

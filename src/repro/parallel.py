@@ -1,12 +1,15 @@
-"""Parallel compilation driver: fork-pool sharding with deterministic merge.
+"""Parallel compilation engine: ``(job, function)`` units on one pool.
 
 Every phase of every experiment processes functions independently (the
-same per-function independence the paper's Tables 2-5 rely on), so a
-module can be *sharded*: split its functions across worker processes,
-run the full phase pipeline on each shard with a private
-:class:`~repro.analysis.manager.AnalysisManager`, then merge the
-results.  At the outer level, whole experiments of a table are equally
-independent and shard the same way.
+same per-function independence the paper's Tables 2-5 rely on), so any
+set of compile *jobs* -- one experiment, every experiment of a table,
+a batch of ``repro serve`` requests -- splits into ``(job, function)``
+units.  :func:`run_units` places every unit with one deterministic
+greedy-LPT partition (:func:`partition`), runs each shard through one
+worker task (:func:`_compile_units`) on a :class:`WorkerPool`, and
+returns each job's payloads -- or the exception the job raised -- in
+shard order.  :func:`merge_job` folds one job's payloads back into an
+:class:`~repro.pipeline.ExperimentResult`.
 
 The merge layer is the actual contract of this module: paper-metric
 output must be **byte-identical at any job count**.  That means nothing
@@ -21,55 +24,40 @@ may depend on worker arrival order --
   are summed per key (summation is order-free);
 * worker span/event records are grafted into the parent tracer in
   shard-index order with renumbered ``seq``/rebased timestamps, so a
-  ``--trace`` of a parallel run is one coherent Chrome trace.
-
-Sharding uses a deterministic greedy LPT partition by instruction
-count.  The driver falls back to the serial path when ``jobs`` resolves
-to 1, when the module has at most one function, when the platform lacks
-the ``fork`` start method (worker state is inherited by forking, never
-pickled), or when a worker process dies (``BrokenProcessPool``).
-Worker *exceptions* are not swallowed: a validation failure raises
-exactly as it would serially.
+  ``--trace`` of a parallel run is one coherent Chrome trace;
+* semantic verification (``verify=``) replays in the parent, against
+  the input and the merged module, exactly as the serial run does.
 
 ``jobs`` semantics everywhere (``run_experiment``, ``run_table``,
 ``run_table5``, the CLI ``--jobs`` and the benchmark harness):
 ``None`` reads ``$REPRO_JOBS`` (default 1), ``0`` means all cores,
-``1`` is serial, ``N>1`` uses at most N workers.
+``1`` is serial, ``N>1`` uses at most N workers.  ``pool=`` (a
+:class:`WorkerPool`) reuses the caller's pool; with only ``jobs=N`` a
+pool is opened for that one call.  Callers that loop (``repro tables``,
+a fuzz sweep, ``repro serve``) hold one pool across their calls.
 
-Two pool disciplines coexist:
-
-* **One-shot fork pools** (the original design): the pool is created
-  *after* the per-call worker state is staged in a module global, so
-  forked children inherit the module for free and nothing big is
-  pickled.  The pool dies with the call -- which costs a flat
-  fork+teardown overhead per ``run_experiment`` (the ~70-90 ms the
-  jobs=4 column of BENCH_compile_time.json shows dominating small
-  suites).
-* **Persistent pools** (:class:`WorkerPool`): created once, reused
-  across calls -- the warm substrate ``repro serve`` and repeated
-  ``run_experiments``/``run_table`` calls run on.  Workers are forked
-  once, so per-call state travels *pickled in the task spec* instead of
-  by inheritance; each worker keeps process-lifetime state
-  (:func:`_pool_cache` instances per cache directory, one
-  :func:`_pool_manager` analysis manager) that stays hot between
-  submissions.  A dead worker (``BrokenProcessPool``) triggers one
-  respawn-and-retry before the caller's serial fallback.
+:func:`run_units` returns ``None`` -- and the caller runs its serial
+path -- when the worker count resolves to 1, when there is at most one
+unit, when the platform lacks the ``fork`` start method, or when the
+pool broke even after a respawn.  Worker *exceptions* are not
+swallowed: each comes back as its job's outcome.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Optional, Sequence
+from concurrent.futures.process import (BrokenProcessPool,
+                                        _ExceptionWithTraceback)
+from typing import NamedTuple, Optional, Sequence
 
 from .ir.function import Module
 from .machine.st120 import ST120
 from .machine.target import Target
-from .metrics import count_instructions, count_moves, weighted_moves
+from .metrics import count_instructions
 from .observability import Tracer
 from .observability import resolve as resolve_tracer
 
@@ -100,83 +88,56 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def fork_available() -> bool:
-    """Whether this platform can fork workers (worker state is passed
-    by fork-time inheritance, so ``spawn``-only platforms run serially)."""
+    """Whether this platform can fork workers (:class:`WorkerPool` uses
+    the ``fork`` start method, so ``spawn``-only platforms run
+    serially)."""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def partition_functions(module: Module, workers: int) -> list[list[str]]:
-    """Deterministic LPT partition of the module's function names.
+def partition(units: Sequence[tuple[int, object]],
+              workers: int) -> list[list[object]]:
+    """Deterministic greedy-LPT partition of ``(weight, key)`` units
+    into at most *workers* shards.
 
-    Functions are sorted by instruction count (descending, original
-    module order as tie-break) and greedily assigned to the least
-    loaded shard (lowest index on ties) -- load balance without any
-    dependence on hashing or arrival order.  Empty shards are dropped.
+    Units are taken heaviest first (input order as tie-break) and each
+    goes to the least loaded shard (lowest index on ties) -- load
+    balance without any dependence on hashing or arrival order.  Empty
+    shards are dropped.
     """
-    weighted = sorted(
-        ((count_instructions(f), i, f.name)
-         for i, f in enumerate(module.iter_functions())),
-        key=lambda t: (-t[0], t[1]))
-    shards: list[list[str]] = [[] for _ in range(max(1, workers))]
+    ordered = sorted(range(len(units)), key=lambda i: (-units[i][0], i))
+    shards: list[list[object]] = [[] for _ in range(max(1, workers))]
     loads = [0] * len(shards)
-    for weight, _, name in weighted:
+    for i in ordered:
+        weight, key = units[i]
         target = min(range(len(shards)), key=lambda j: (loads[j], j))
-        shards[target].append(name)
+        shards[target].append(key)
         loads[target] += weight
     return [shard for shard in shards if shard]
 
 
+def shard_module(module: Module, names: Sequence[str]) -> Module:
+    """A module holding just *names*' functions (externals stripped --
+    they are arbitrary callables, never pickled to a pool worker;
+    ``run_phases`` copies, so sharing the Function objects is safe)."""
+    shard = Module(module.name)
+    for fn_name in names:
+        shard.add_function(module.functions[fn_name])
+    return shard
+
+
+class Job(NamedTuple):
+    """One compile the engine shards: *phases* applied to *module*."""
+
+    module: Module
+    name: str
+    phases: tuple
+    options: object = None
+
+
 # ----------------------------------------------------------------------
-# Worker side.  State reaches workers by fork-time inheritance of this
-# module-level global -- nothing is pickled on the way in; only the
-# (small) shard spec and the (picklable) result payload cross the pipe.
+# Worker side.  Forked once per pool; everything a task needs travels
+# pickled in its spec, and only the picklable payload comes back.
 # ----------------------------------------------------------------------
-_WORKER_STATE = None
-
-# Process-lifetime worker state for *persistent* pools (fork-once
-# workers cannot inherit per-call state, so tasks arrive pickled and
-# the expensive objects -- cache handles, the analysis manager -- are
-# built once per worker process and reused across submissions).
-_POOL_CACHES: dict[str, object] = {}
-_POOL_MANAGER = None
-
-
-def _pool_cache(cache):
-    """Resolve a task's cache field inside a pool worker.
-
-    A string/path is interned to one process-lifetime
-    :class:`~repro.cache.CompilationCache` per directory (the warm
-    handle ``repro serve`` requests share); an instance that travelled
-    pickled passes through; ``None`` stays ``None``.
-    """
-    if cache is None:
-        return None
-    if isinstance(cache, (str, os.PathLike)):
-        path = os.fspath(cache)
-        interned = _POOL_CACHES.get(path)
-        if interned is None:
-            from .cache import CompilationCache
-
-            interned = _POOL_CACHES[path] = CompilationCache(path)
-        return interned
-    return cache
-
-
-def _pool_manager():
-    """This worker's process-lifetime
-    :class:`~repro.analysis.manager.AnalysisManager` -- it survives
-    between requests (counters accumulate for the worker's lifetime);
-    callers flush the per-function entries after each task because
-    pipeline runs operate on fresh copies, so stale entries could never
-    hit again."""
-    global _POOL_MANAGER
-    if _POOL_MANAGER is None:
-        from .analysis.manager import AnalysisManager
-
-        _POOL_MANAGER = AnalysisManager()
-    return _POOL_MANAGER
-
-
 def _pool_ping(delay: float = 0.0) -> int:
     """Health-check task: returns the worker's pid."""
     if delay:
@@ -184,95 +145,33 @@ def _pool_ping(delay: float = 0.0) -> int:
     return os.getpid()
 
 
-def _picklable(obj) -> bool:
-    """Whether *obj* survives the pickle trip to a persistent-pool
-    worker (modules carrying lambda externals, for instance, do not --
-    those calls degrade to the one-shot fork path)."""
-    try:
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return False
-    return True
-
-
-def _run_shard(shard, name, phases, options, target, validate, traced,
-               cache, metriced, analyses=None):
-    """The shared worker body: run the phase pipeline on one shard
-    module and return its picklable payload."""
+def _compile_units(spec) -> list:
+    """The worker task: run each job's slice of this shard through the
+    phase pipeline.  Returns ``(job index, payload or exception)``
+    pairs; one job's failure never touches its shard-mates (or trips
+    the pool's respawn logic)."""
     from . import pipeline as _pipeline
     from .observability.metrics import MetricsRegistry
 
-    tracer = Tracer() if traced else None
-    metrics = MetricsRegistry() if metriced else None
-    start = time.perf_counter_ns()
-    result = _pipeline.run_phases(shard, name, phases, options, target,
-                                  None, validate, tracer, cache=cache,
-                                  metrics=metrics, analyses=analyses)
-    return _result_payload(result, time.perf_counter_ns() - start)
-
-
-def _shard_task(spec):
-    """Run the phase pipeline on one function shard (worker process,
-    one-shot fork pool: state arrives by fork-time inheritance)."""
-    index, names = spec
-    (module, name, phases, options, target, validate, traced, cache,
-     metriced) = _WORKER_STATE
-    shard = Module(module.name)
-    for fn_name in names:
-        shard.add_function(module.functions[fn_name])  # run_phases copies
-    return index, _run_shard(shard, name, phases, options, target,
-                             validate, traced, cache, metriced)
-
-
-def _pooled_shard_task(spec):
-    """Persistent-pool twin of :func:`_shard_task`: the shard module
-    travels pickled in the spec, the cache handle and analysis manager
-    are this worker's process-lifetime ones."""
-    (index, shard, name, phases, options, target, validate, traced,
-     cache, metriced) = spec
-    manager = _pool_manager()
-    try:
-        return index, _run_shard(shard, name, phases, options, target,
-                                 validate, traced, _pool_cache(cache),
-                                 metriced, analyses=manager)
-    finally:
-        manager.flush()
-
-
-def _experiment_task(spec):
-    """Run one whole experiment serially (worker process)."""
-    from . import pipeline as _pipeline
-    from .observability.metrics import MetricsRegistry
-
-    index, label, name, options = spec
-    module, verify, validate, traced, target, cache, metriced = \
-        _WORKER_STATE
-    tracer = Tracer() if traced else None
-    metrics = MetricsRegistry() if metriced else None
-    start = time.perf_counter_ns()
-    result = _pipeline.run_phases(module, name, _pipeline.EXPERIMENTS[name],
-                                  options, target, verify, validate, tracer,
-                                  cache=cache, metrics=metrics)
-    payload = _result_payload(result, time.perf_counter_ns() - start)
-    return index, label, payload
-
-
-def _pooled_experiment_task(spec):
-    """Persistent-pool twin of :func:`_experiment_task`: everything the
-    run needs (module included) arrives pickled in the spec."""
-    from . import pipeline as _pipeline
-    from .observability.metrics import MetricsRegistry
-
-    (index, label, name, options, module, verify, validate, traced,
-     target, cache, metriced) = spec
-    tracer = Tracer() if traced else None
-    metrics = MetricsRegistry() if metriced else None
-    start = time.perf_counter_ns()
-    result = _pipeline.run_phases(module, name, _pipeline.EXPERIMENTS[name],
-                                  options, target, verify, validate, tracer,
-                                  cache=_pool_cache(cache), metrics=metrics)
-    payload = _result_payload(result, time.perf_counter_ns() - start)
-    return index, label, payload
+    subjobs, target, validate, traced, metriced, cache = spec
+    out = []
+    for j, shard, name, phases, options in subjobs:
+        tracer = Tracer() if traced else None
+        metrics = MetricsRegistry() if metriced else None
+        start = time.perf_counter_ns()
+        try:
+            result = _pipeline.run_phases(shard, name, phases, options,
+                                          target, None, validate, tracer,
+                                          cache=cache, metrics=metrics)
+        except Exception as error:  # noqa: BLE001 -- per-job isolation
+            # Unpickles as *error* with the worker's traceback as its
+            # __cause__, exactly what a failed future would raise.
+            out.append((j, _ExceptionWithTraceback(error,
+                                                   error.__traceback__)))
+        else:
+            out.append((j, _result_payload(
+                result, time.perf_counter_ns() - start)))
+    return out
 
 
 def _result_payload(result, wall_ns: int) -> dict:
@@ -282,9 +181,6 @@ def _result_payload(result, wall_ns: int) -> dict:
     tracer = result.tracer
     return {
         "functions": dict(result.module.functions),
-        "moves": result.moves,
-        "weighted": result.weighted,
-        "instructions": result.instructions,
         "phase_stats": result.phase_stats,
         "phase_breakdown": result.phase_breakdown,
         "analysis_cache": result.analysis_cache,
@@ -302,47 +198,21 @@ def _tracer_payload(tracer: Tracer) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Pool driver
-# ----------------------------------------------------------------------
-def _run_pool(state, task, specs, workers: int):
-    """Fork *workers* processes inheriting *state* and map *task* over
-    *specs*.  Returns the results in submission order, or ``None`` when
-    the pool infrastructure broke (a worker died) -- worker *Python*
-    exceptions propagate unchanged."""
-    global _WORKER_STATE
-    context = multiprocessing.get_context("fork")
-    _WORKER_STATE = state
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            futures = [pool.submit(task, spec) for spec in specs]
-            return [future.result() for future in futures]
-    except (BrokenProcessPool, OSError):
-        return None
-    finally:
-        _WORKER_STATE = None
-
-
-# ----------------------------------------------------------------------
 # Persistent worker pool
 # ----------------------------------------------------------------------
 class WorkerPool:
-    """A create-once, reuse-forever fork pool.
+    """A create-once, reuse-forever fork pool -- the only place a
+    ``ProcessPoolExecutor`` is built.
 
-    ``run_experiment``'s default discipline builds and tears down a
-    ``ProcessPoolExecutor`` per call; this class keeps one alive so the
-    fork cost, interpreter state and the workers' process-lifetime
-    caches (:func:`_pool_cache`, :func:`_pool_manager`) are paid once.
-    ``repro serve`` holds one for its whole lifetime; batch callers can
-    pass one to ``run_experiments``/``run_table`` via ``pool=``.
-
-    Tasks submitted through :meth:`run` must carry their own state
-    (the ``_pooled_*`` task shapes) -- fork-time inheritance only works
-    for pools created after the state is staged.  A dead worker
-    (``BrokenProcessPool``) is handled by discarding the executor,
-    respawning a fresh one and retrying the submission once; compile
-    tasks are pure, so the retry is safe.  :meth:`run` returns ``None``
-    only when the respawned pool breaks too.
+    Workers fork lazily on the first submission (or :meth:`warm`) and
+    survive across calls, so the fork cost is paid once per pool.
+    ``repro serve`` holds one for its whole lifetime; batch callers
+    pass one to ``run_experiment``/``run_table``/``run_experiments``
+    via ``pool=``.  Tasks carry their own state in a pickled spec.  A
+    dead worker (``BrokenProcessPool``) is handled by discarding the
+    executor, respawning a fresh one and retrying the submission once;
+    compile tasks are pure, so the retry is safe.  :meth:`run` returns
+    ``None`` only when the respawned pool breaks too.
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
@@ -382,8 +252,8 @@ class WorkerPool:
 
         On ``BrokenProcessPool`` (a worker died) the pool is respawned
         and the whole submission retried once; ``None`` means even the
-        retry's pool broke.  Worker *Python* exceptions propagate
-        unchanged, exactly like the one-shot driver.
+        retry's pool broke.  Exceptions a task raises propagate
+        unchanged.
         """
         specs = list(specs)
         for _ in range(2):
@@ -419,6 +289,81 @@ class WorkerPool:
         state = "up" if self.alive else "down"
         return (f"<WorkerPool workers={self.workers} {state} "
                 f"respawns={self.respawns}>")
+
+
+def shared_pool(jobs: Optional[int]):
+    """The pool a looping caller holds across its engine calls: a
+    :class:`WorkerPool` when ``jobs`` resolves to more than one worker
+    on a fork-capable platform, else a null context yielding ``None``
+    (the serial path)."""
+    workers = resolve_jobs(jobs)
+    if workers > 1 and fork_available():
+        return WorkerPool(workers)
+    return contextlib.nullcontext()
+
+
+# ----------------------------------------------------------------------
+# The engine
+# ----------------------------------------------------------------------
+def run_units(batch: Sequence[Job], jobs: Optional[int] = None,
+              pool: Optional[WorkerPool] = None,
+              target: Target = ST120, validate: bool = True,
+              traced: bool = False, metriced: bool = False, cache=None):
+    """Compile every ``(job, function)`` unit of *batch* on a pool.
+
+    Units are LPT-placed by instruction count across
+    ``min(workers, units)`` shards; each shard is one
+    :func:`_compile_units` task holding, per job, a sub-module of that
+    job's functions.  *traced*/*metriced* give every worker run its own
+    tracer/registry for :func:`merge_job` to graft.
+
+    Returns ``(workers, pool_ns, outcomes)`` -- the shard count, the
+    submit-to-last-result wall time, and per job either its payloads
+    in shard order (each tagged with its ``"shard"`` index) or the
+    first exception it raised -- or ``None`` when the caller must run
+    serially (see the module docstring).
+    """
+    configured = pool.workers if pool is not None else resolve_jobs(jobs)
+    if configured <= 1 or not fork_available():
+        return None
+    units = [(count_instructions(fn), (j, fn.name))
+             for j, job in enumerate(batch)
+             for fn in job.module.iter_functions()]
+    workers = min(configured, len(units))
+    if workers <= 1:
+        return None
+
+    specs = []
+    for shard in partition(units, workers):
+        grouped: dict[int, list[str]] = {}
+        for j, fn_name in shard:
+            grouped.setdefault(j, []).append(fn_name)
+        subjobs = [(j, shard_module(batch[j].module, names),
+                    batch[j].name, tuple(batch[j].phases),
+                    batch[j].options)
+                   for j, names in sorted(grouped.items())]
+        specs.append((subjobs, target, validate, traced, metriced, cache))
+    start = time.perf_counter_ns()
+    if pool is not None:
+        shards = pool.run(_compile_units, specs)
+    else:
+        with WorkerPool(len(specs)) as owned:
+            shards = owned.run(_compile_units, specs)
+    if shards is None:  # even the respawned pool broke: degrade
+        return None
+    pool_ns = time.perf_counter_ns() - start
+
+    outcomes: list = [[] for _ in batch]
+    for index, shard in enumerate(shards):
+        for j, payload in shard:
+            if isinstance(outcomes[j], Exception):
+                continue  # the job already failed in an earlier shard
+            if isinstance(payload, Exception):
+                outcomes[j] = payload
+            else:
+                payload["shard"] = index
+                outcomes[j].append(payload)
+    return len(specs), pool_ns, outcomes
 
 
 # ----------------------------------------------------------------------
@@ -531,73 +476,25 @@ def _merge_store_stats(payloads: Sequence[dict]) -> dict:
             for key in CACHE_STATS_KEYS}
 
 
-# ----------------------------------------------------------------------
-# Function-level parallel experiment
-# ----------------------------------------------------------------------
-def shard_module(module: Module, names: Sequence[str]) -> Module:
-    """A module holding just *names*' functions (externals stripped --
-    they are arbitrary callables, never pickled to a pool worker;
-    ``run_phases`` copies, so sharing the Function objects is safe)."""
-    shard = Module(module.name)
-    for fn_name in names:
-        shard.add_function(module.functions[fn_name])
-    return shard
+def merge_job(module: Module, name: str, payloads: Sequence[dict],
+              verify=None, tracer=None, metrics=None, workers: int = 1,
+              pool_ns: int = 0):
+    """Fold one job's worker *payloads* into the
+    :class:`~repro.pipeline.ExperimentResult` the serial
+    ``run_phases(module, name, ...)`` would have returned.
 
-
-def run_phases_parallel(module: Module, name: str, phases,
-                        options=None, target: Target = ST120,
-                        verify=None, validate: bool = True,
-                        tracer=None, jobs: Optional[int] = None,
-                        cache=None, metrics=None, pool=None):
-    """Parallel twin of :func:`repro.pipeline.run_phases`.
-
-    Shards the module's functions across a fork pool, each worker
-    running its own :class:`AnalysisManager`, and merges the results
-    deterministically.  Semantic verification (``verify=``) runs in the
-    parent against the input and the *merged* module, reproducing the
-    serial interpreter work exactly.  When a metrics registry is
-    passed, each worker records into a private registry and the parent
-    merges the snapshots element-wise (sums are order-free, so the
-    deterministic fields match the serial run at any job count).
-    ``pool`` (a :class:`WorkerPool`) reuses a persistent executor
-    instead of forking a one-shot pool -- same merge, same output
-    bytes, no per-call fork cost.  Falls back to the serial path
-    whenever parallelism is unavailable or a worker dies.
+    Semantic verification (``verify=``) runs here, in the parent,
+    against the input and the *merged* module, reproducing the serial
+    interpreter work exactly.  Worker tracers are grafted under this
+    run's ``experiment:`` span; worker metric snapshots merge
+    element-wise into *metrics*.  *workers*/*pool_ns* come from
+    :func:`run_units` and only feed the ``parallel`` block.
     """
     from . import pipeline as _pipeline
-    from .interp import run_module
     from .observability.metrics import resolve_metrics
 
     tracer = resolve_tracer(tracer)
     metrics = resolve_metrics(metrics)
-    phases = tuple(phases)
-    configured = pool.workers if pool is not None else resolve_jobs(jobs)
-    workers = min(configured, len(module.functions))
-    if workers <= 1 or len(module.functions) <= 1 or not fork_available():
-        return _pipeline.run_phases(module, name, phases, options, target,
-                                    verify, validate, tracer, cache=cache,
-                                    metrics=metrics)
-
-    shards = partition_functions(module, workers)
-    pool_start = time.perf_counter_ns()
-    if pool is not None:
-        specs = [(i, shard_module(module, shard), name, phases, options,
-                  target, validate, tracer.enabled, cache,
-                  metrics.enabled)
-                 for i, shard in enumerate(shards)]
-        outcomes = pool.run(_pooled_shard_task, specs)
-    else:
-        state = (module, name, phases, options, target, validate,
-                 tracer.enabled, cache, metrics.enabled)
-        outcomes = _run_pool(state, _shard_task, list(enumerate(shards)),
-                             len(shards))
-    if outcomes is None:  # a worker died: degrade, don't fail
-        return _pipeline.run_phases(module, name, phases, options, target,
-                                    verify, validate, tracer, cache=cache,
-                                    metrics=metrics)
-    pool_ns = time.perf_counter_ns() - pool_start
-    payloads = [payload for _, payload in sorted(outcomes)]
-
     result = _pipeline.ExperimentResult(name=name, module=module,
                                         tracer=tracer)
     references = {}
@@ -606,14 +503,13 @@ def run_phases_parallel(module: Module, name: str, phases,
             with tracer.span("verify:before"):
                 for fn_name, args in verify:
                     references[(fn_name, tuple(args))] = \
-                        run_module(module, fn_name, args,
-                                   tracer=tracer).observable()
+                        _pipeline.run_module(module, fn_name, args,
+                                             tracer=tracer).observable()
 
         merge_start = time.perf_counter_ns()
         if tracer.enabled:
-            root_seq = root.seq
             for payload in payloads:
-                _graft_tracer(tracer, payload["tracer"], root_seq,
+                _graft_tracer(tracer, payload["tracer"], root.seq,
                               root.depth + 1)
         order = {fn_name: i for i, fn_name in enumerate(module.functions)}
         work = _merge_module(module, payloads)
@@ -626,7 +522,7 @@ def run_phases_parallel(module: Module, name: str, phases,
         if metrics.enabled:
             for payload in payloads:  # shard-index order (commutative)
                 metrics.merge(payload["metrics"] or {})
-            # Each worker counted its shard as one pipeline invocation;
+            # Each worker counted its slice as one pipeline invocation;
             # collapse to the single logical run the caller asked for so
             # counters stay identical at any job count.
             metrics.counter("pipeline.runs").inc(1 - len(payloads))
@@ -637,96 +533,54 @@ def run_phases_parallel(module: Module, name: str, phases,
             with tracer.span("verify:after"):
                 for key, reference in references.items():
                     fn_name, args = key
-                    after = run_module(work, fn_name, args,
-                                       tracer=tracer).observable()
+                    after = _pipeline.run_module(
+                        work, fn_name, args, tracer=tracer).observable()
                     if after != reference:
                         raise AssertionError(
                             f"{name}: {fn_name}{tuple(args)} changed "
                             f"behaviour: {reference} -> {after}")
 
-        result.moves = count_moves(work)
-        result.weighted = weighted_moves(work)
-        result.instructions = count_instructions(work)
+        result.moves = _pipeline.count_moves(work)
+        result.weighted = _pipeline.weighted_moves(work)
+        result.instructions = _pipeline.count_instructions(work)
         result.parallel = {
             "mode": "functions",
             "jobs": workers,
-            "workers": len(shards),
+            "workers": len(payloads),
             "pool_ns": pool_ns,
             "merge_ns": merge_ns,
-            "shards": [{"worker": i, "functions": len(shard),
-                        "wall_ns": payloads[i]["wall_ns"]}
-                       for i, shard in enumerate(shards)],
+            "shards": [{"worker": p["shard"],
+                        "functions": len(p["functions"]),
+                        "wall_ns": p["wall_ns"]} for p in payloads],
         }
     return result
 
 
-# ----------------------------------------------------------------------
-# Experiment-level parallel tables
-# ----------------------------------------------------------------------
-def run_experiments_parallel(module: Module, specs, verify=None,
-                             validate: bool = True, traced: bool = False,
-                             target: Target = ST120,
-                             jobs: Optional[int] = None,
-                             cache=None, metriced: bool = False,
-                             pool=None):
-    """Run ``(label, experiment, options)`` *specs* across a fork pool,
-    one whole experiment per task (the outer-level sharding used by
-    ``run_table``/``run_table5``/``repro experiments``).
-
-    ``pool`` (a :class:`WorkerPool`) reuses a persistent executor
-    instead of forking per call; the module then travels pickled in
-    each spec, so modules carrying unpicklable externals degrade to the
-    one-shot fork path automatically.
-
-    Returns the :class:`ExperimentResult` list in spec order, or
-    ``None`` when parallelism is unavailable or the pool broke -- the
-    caller then runs its serial loop.
-    """
+def run_phases_parallel(module: Module, name: str, phases,
+                        options=None, target: Target = ST120,
+                        verify=None, validate: bool = True,
+                        tracer=None, jobs: Optional[int] = None,
+                        cache=None, metrics=None, pool=None):
+    """Parallel twin of :func:`repro.pipeline.run_phases`: one job on
+    the engine, merged by :func:`merge_job`.  Falls back to the serial
+    path whenever :func:`run_units` declines; a worker exception is
+    re-raised exactly as the serial run would raise it."""
     from . import pipeline as _pipeline
+    from .observability.metrics import resolve_metrics
 
-    configured = pool.workers if pool is not None else resolve_jobs(jobs)
-    workers = min(configured, len(specs))
-    if workers <= 1 or len(specs) <= 1 or not fork_available():
-        return None
-    outcomes = None
-    if pool is not None and _picklable((module, verify)):
-        pool_specs = [(i, label, name, options, module, verify, validate,
-                       traced, target, cache, metriced)
-                      for i, (label, name, options) in enumerate(specs)]
-        outcomes = pool.run(_pooled_experiment_task, pool_specs)
-    if outcomes is None:
-        state = (module, verify, validate, traced, target, cache,
-                 metriced)
-        pool_specs = [(i, label, name, options)
-                      for i, (label, name, options) in enumerate(specs)]
-        outcomes = _run_pool(state, _experiment_task, pool_specs, workers)
-    if outcomes is None:
-        return None
-
-    results = []
-    for index, label, payload in sorted(outcomes):
-        merge_start = time.perf_counter_ns()
-        tracer = Tracer() if traced else None
-        if tracer is not None:
-            _graft_tracer(tracer, payload["tracer"], None, 0)
-        result = _pipeline.ExperimentResult(
-            name=label, module=_merge_module(module, [payload]),
-            moves=payload["moves"], weighted=payload["weighted"],
-            instructions=payload["instructions"],
-            phase_stats=payload["phase_stats"],
-            phase_breakdown=payload["phase_breakdown"],
-            tracer=resolve_tracer(tracer),
-            analysis_cache=payload["analysis_cache"],
-            cache=payload["cache"],
-            metrics=payload["metrics"] or {})
-        result.parallel = {
-            "mode": "experiments",
-            "jobs": workers,
-            "workers": workers,
-            "merge_ns": time.perf_counter_ns() - merge_start,
-            "shards": [{"worker": index, "functions":
-                        len(payload["functions"]),
-                        "wall_ns": payload["wall_ns"]}],
-        }
-        results.append(result)
-    return results
+    tracer = resolve_tracer(tracer)
+    metrics = resolve_metrics(metrics)
+    phases = tuple(phases)
+    sharded = run_units([Job(module, name, phases, options)], jobs, pool,
+                        target=target, validate=validate,
+                        traced=tracer.enabled, metriced=metrics.enabled,
+                        cache=cache)
+    if sharded is None:
+        return _pipeline.run_phases(module, name, phases, options, target,
+                                    verify, validate, tracer, cache=cache,
+                                    metrics=metrics)
+    workers, pool_ns, (outcome,) = sharded
+    if isinstance(outcome, Exception):
+        raise outcome
+    return merge_job(module, name, outcome, verify, tracer, metrics,
+                     workers=workers, pool_ns=pool_ns)

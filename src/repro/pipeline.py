@@ -100,8 +100,8 @@ class ExperimentResult:
     #: :meth:`repro.analysis.manager.AnalysisManager.stats`).
     analysis_cache: dict = field(default_factory=dict)
     #: Parallel-execution breakdown (workers, shard sizes, per-worker
-    #: wall time, merge time) when the run used the fork-pool driver
-    #: (:mod:`repro.parallel`); empty for serial runs.
+    #: wall time, merge time) when the run went through the parallel
+    #: engine (:mod:`repro.parallel`); empty for serial runs.
     parallel: dict = field(default_factory=dict)
     #: Persistent-cache traffic of this run
     #: (hits/misses/stores/evictions/bytes/corrupt, from
@@ -422,7 +422,7 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
     work = module.copy()
     result = ExperimentResult(name=name, module=work, tracer=tracer)
     references = {}
-    # ``analyses`` lets a long-lived caller (a serve pool worker) keep
+    # ``analyses`` lets a long-lived caller (the serve serial path) keep
     # one process-lifetime manager across runs; its ``analysis_cache``
     # block then reports this run's deltas, not lifetime totals.
     manager = analyses if analyses is not None else AnalysisManager(tracer)
@@ -624,36 +624,44 @@ def _run_labelled(module: Module, specs, verify, validate, tracer,
                   jobs, cache=None, metrics=None,
                   pool=None) -> list[ExperimentResult]:
     """Run ``(label, experiment, options)`` *specs*, serially or -- when
-    ``jobs`` allows -- one whole experiment per pool worker.
+    ``jobs``/``pool`` allow -- as one batch of ``(experiment, function)``
+    units on the parallel engine (:mod:`repro.parallel`).
 
     ``tracer`` may be a tracer instance (shared across all runs) or a
     zero-argument factory such as the :class:`Tracer` class itself (one
     fresh tracer per run, which is what per-run stats documents want);
     ``metrics`` works the same way with
-    :class:`~repro.observability.MetricsRegistry`.  The parallel path
-    always gives each run its own tracer and registry.  ``pool`` reuses
-    a persistent :class:`~repro.parallel.WorkerPool` across calls.
+    :class:`~repro.observability.MetricsRegistry`.  ``pool`` reuses a
+    persistent :class:`~repro.parallel.WorkerPool` across calls.
     """
     from .cache import resolve_cache
-    from .parallel import run_experiments_parallel
+    from .parallel import Job, merge_job, run_units
 
     cache = resolve_cache(cache)
-    results = run_experiments_parallel(module, specs, verify=verify,
-                                       validate=validate,
-                                       traced=tracer is not None,
-                                       jobs=jobs, cache=cache,
-                                       metriced=metrics is not None,
-                                       pool=pool)
-    if results is not None:
-        return results
+    tracers = [tracer() if callable(tracer) else tracer for _ in specs]
+    registries = [metrics() if callable(metrics) else metrics
+                  for _ in specs]
+    sharded = run_units(
+        [Job(module, name, EXPERIMENTS[name], options)
+         for _, name, options in specs], jobs, pool,
+        validate=validate,
+        traced=any(resolve_tracer(t).enabled for t in tracers),
+        metriced=any(resolve_metrics(m).enabled for m in registries),
+        cache=cache)
     results = []
-    for label, name, options in specs:
-        run_tracer = tracer() if callable(tracer) else tracer
-        run_metrics = metrics() if callable(metrics) else metrics
-        result = run_experiment(module, name, options=options,
-                                verify=verify, validate=validate,
-                                tracer=run_tracer, jobs=1, cache=cache,
-                                metrics=run_metrics)
+    for i, (label, name, options) in enumerate(specs):
+        if sharded is None:
+            result = run_experiment(module, name, options=options,
+                                    verify=verify, validate=validate,
+                                    tracer=tracers[i], jobs=1, cache=cache,
+                                    metrics=registries[i])
+        else:
+            workers, pool_ns, outcomes = sharded
+            if isinstance(outcomes[i], Exception):
+                raise outcomes[i]
+            result = merge_job(module, name, outcomes[i], verify,
+                               tracers[i], registries[i],
+                               workers=workers, pool_ns=pool_ns)
         result.name = label
         results.append(result)
     return results
@@ -674,7 +682,8 @@ def run_table(module: Module, table: str,
     forwarded to every :func:`run_experiment`; ``tracer`` and
     ``metrics`` may be factories (e.g. the ``Tracer`` /
     ``MetricsRegistry`` classes) to give each run its own recorder.
-    ``jobs > 1`` shards whole experiments across a worker pool.
+    ``jobs > 1`` (or ``pool``) shards the ``(experiment, function)``
+    units of the whole table across one worker pool.
     """
     specs = [(name, name, options) for name in TABLE_EXPERIMENTS[table]]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
@@ -693,8 +702,9 @@ def run_experiments(module: Module,
                     metrics=None,
                     pool=None) -> list[ExperimentResult]:
     """Run several experiments (default: the whole Table 1 matrix) on
-    *module*, optionally sharding them across a worker pool (``pool``
-    reuses a persistent :class:`~repro.parallel.WorkerPool`)."""
+    *module*, optionally sharding their ``(experiment, function)`` units
+    across a worker pool (``pool`` reuses a persistent
+    :class:`~repro.parallel.WorkerPool`)."""
     specs = [(name, name, options) for name in (names or EXPERIMENTS)]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
                          cache=cache, metrics=metrics, pool=pool)

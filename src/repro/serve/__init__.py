@@ -9,10 +9,10 @@ keeps all of that hot in a long-running process:
   request fingerprint (built from the :mod:`repro.cache.key`
   fingerprints) behind identical-request dedup;
 * :mod:`.batcher` -- coalesces concurrent in-flight requests into one
-  shard set for the persistent :class:`repro.parallel.WorkerPool`
-  (deterministic LPT over every request's functions) and demuxes the
-  merged results back per request, byte-identical to the serial CLI
-  path;
+  call of the parallel engine on the persistent
+  :class:`repro.parallel.WorkerPool` (deterministic LPT over every
+  request's functions) and merges the results back per request,
+  byte-identical to the serial CLI path;
 * :mod:`.server` -- the asyncio server (unix socket, optional
   localhost HTTP) with live ``stats``/``metrics`` endpoints, graceful
   drain on SIGTERM/SIGINT and a final ledger record;

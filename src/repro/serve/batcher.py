@@ -1,44 +1,35 @@
-"""Request batching: many in-flight compiles, one shard set.
+"""Request batching: many in-flight compiles, one engine call.
 
-The server drains its queue into a *batch* and hands it here.  Every
-``(request, function)`` pair in the batch becomes one work unit;
-:func:`partition_units` runs the same deterministic greedy-LPT
-placement :func:`repro.parallel.partition_functions` uses inside a
-single module, but across request boundaries -- so one large request
-and five small ones fill the pool evenly instead of queueing behind
-each other.  Each worker task carries the sub-jobs of its shard
-grouped per request; the demux step reassembles every request's
-payloads (in shard-index order) with the :mod:`repro.parallel` merge
-helpers, which is what makes a batched response **byte-identical** to
-the serial CLI path: same module order, same ``phase_stats``
-sequencing, same summed counters.
+The server drains its queue into a *batch* and hands it here.  Each
+request is one job of :func:`repro.parallel.run_units`, so every
+``(request, function)`` pair is one work unit and the engine's
+greedy-LPT placement spans request boundaries -- one large request and
+five small ones fill the pool evenly instead of queueing behind each
+other.  Each request's payloads merge through
+:func:`repro.parallel.merge_job`, which is what makes a batched
+response **byte-identical** to the serial CLI path: same module order,
+same ``phase_stats`` sequencing, same summed counters.
 
-Failures stay per-request: a sub-job that raises (validation error,
-malformed IR that parsed but does not compile) turns into that
+Failures stay per-request: a request whose compile raises (validation
+error, malformed IR that parsed but does not compile) turns into that
 request's ``{"ok": false}`` response; the other requests in the batch
 are unaffected.
 
-The serial path (no pool, pool broke, or a one-request batch on a
-one-function module) runs in the server process against the same
-process-lifetime cache and analysis manager, so cache heat is
-identical either way.
+The serial path (no pool, pool broke, or a batch of one single-function
+request) runs in the server process against the same cache directory,
+so cache heat is identical either way.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..ir.printer import format_module
 from ..machine.st120 import ST120
 from ..machine.target import Target
-from ..metrics import count_instructions
 from ..observability.statdiff import stats_digest
-from ..parallel import (_merge_cache_stats, _merge_module,
-                        _merge_phase_stats, _merge_store_stats,
-                        _pool_cache, _pool_manager, _run_shard,
-                        fork_available, shard_module)
+from ..parallel import Job, merge_job, run_units
 from .protocol import ProtocolError
 
 #: Workers run untraced and unmetriced: server-side latency metrics are
@@ -56,90 +47,18 @@ class ServeJob:
     future: object = None
     #: Filled by :func:`run_batch`.
     response: Optional[dict] = None
-    wall_s: float = 0.0
-    shards: int = 0
 
 
-def partition_units(units: Sequence[tuple[int, int, object]],
-                    workers: int) -> list[list[object]]:
-    """Deterministic greedy-LPT partition of ``(weight, index, key)``
-    units into at most *workers* shards (heaviest first, original order
-    as tie-break, least-loaded shard wins, lowest index on ties).
-    Empty shards are dropped -- the cross-request twin of
-    :func:`repro.parallel.partition_functions`."""
-    ordered = sorted(units, key=lambda t: (-t[0], t[1]))
-    shards: list[list[object]] = [[] for _ in range(max(1, workers))]
-    loads = [0] * len(shards)
-    for weight, _, key in ordered:
-        target = min(range(len(shards)), key=lambda j: (loads[j], j))
-        shards[target].append(key)
-        loads[target] += weight
-    return [shard for shard in shards if shard]
+def _error(error: Exception) -> dict:
+    return {"ok": False, "error": f"{type(error).__name__}: {error}"}
 
 
-def plan_shards(jobs: Sequence[ServeJob],
-                workers: int) -> list[list[tuple[int, list[str]]]]:
-    """LPT-place every ``(request, function)`` unit of the batch, then
-    group each shard's units per request: the result is one entry per
-    shard, each a list of ``(batch index, [function names])`` sub-jobs
-    (batch order within a shard, so demux order is deterministic)."""
-    units = []
-    for j, job in enumerate(jobs):
-        for fn in job.request.module.iter_functions():
-            units.append((count_instructions(fn), len(units),
-                          (j, fn.name)))
-    shards = partition_units(units, workers)
-    planned = []
-    for shard in shards:
-        grouped: dict[int, list[str]] = {}
-        for j, fn_name in shard:
-            grouped.setdefault(j, []).append(fn_name)
-        planned.append(sorted(grouped.items()))
-    return planned
-
-
-def _serve_shard_task(spec):
-    """Worker body for one batch shard (persistent pool, picklable).
-
-    Runs each request's sub-shard through the pipeline against this
-    worker's process-lifetime cache handle and analysis manager.
-    Failures are captured per sub-job, never raised: one bad request
-    must not break the batch (or trip the pool's respawn logic)."""
-    index, subjobs = spec
-    manager = _pool_manager()
-    out = []
-    for (j, shard, name, phases, options, target, validate,
-         cache) in subjobs:
-        try:
-            payload = _run_shard(shard, name, phases, options, target,
-                                 validate, False, _pool_cache(cache),
-                                 False, analyses=manager)
-            out.append((j, payload, None))
-        except Exception as error:  # noqa: BLE001 -- per-request isolation
-            out.append((j, None, f"{type(error).__name__}: {error}"))
-        finally:
-            manager.flush()
-    return index, out
-
-
-def _respond(result_name: str, module, phase_stats: dict,
-             analysis_cache: dict, cache_stats: dict,
-             batch: dict) -> dict:
+def _respond(result, batch: dict) -> dict:
     """Build the success response.  The stats document digested here is
     exactly what an untraced serial :func:`repro.pipeline.run_phases`
     produces for this request (the environment blocks -- ``parallel``,
     ``cache``, ``analysis_cache`` -- are stripped by the digest), so
     ``stats_digest`` matches the one-shot CLI at any jobs setting."""
-    from ..metrics import count_moves, weighted_moves
-    from ..pipeline import ExperimentResult
-
-    result = ExperimentResult(name=result_name, module=module,
-                              moves=count_moves(module),
-                              weighted=weighted_moves(module),
-                              instructions=count_instructions(module),
-                              phase_stats=phase_stats,
-                              analysis_cache=analysis_cache,
-                              cache=cache_stats)
     return {
         "ok": True,
         "experiment": result.name,
@@ -148,8 +67,8 @@ def _respond(result_name: str, module, phase_stats: dict,
         "weighted": result.weighted,
         "instructions": result.instructions,
         "stats_digest": stats_digest(result.to_stats()),
-        "analysis_cache": dict(analysis_cache),
-        "cache": dict(cache_stats),
+        "analysis_cache": dict(result.analysis_cache),
+        "cache": dict(result.cache),
         "batch": batch,
     }
 
@@ -163,25 +82,19 @@ def _run_serial(jobs: Sequence[ServeJob], cache, target: Target,
 
     for job in jobs:
         request = job.request
-        start = time.perf_counter()
         try:
             result = _pipeline.run_phases(
                 request.module, request.experiment, request.phases,
                 request.options, target, None, validate, None,
                 cache=cache, analyses=analyses)
         except Exception as error:  # noqa: BLE001 -- per-request isolation
-            job.response = {"ok": False,
-                            "error": f"{type(error).__name__}: {error}"}
+            job.response = _error(error)
         else:
             job.response = _respond(
-                result.name, result.module, result.phase_stats,
-                result.analysis_cache, result.cache,
-                {"size": len(jobs), "mode": "serial", "shards": 1})
+                result, {"size": len(jobs), "mode": "serial", "shards": 1})
         finally:
             if analyses is not None:
                 analyses.flush()
-        job.wall_s = time.perf_counter() - start
-        job.shards = 1
 
 
 def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None,
@@ -189,16 +102,14 @@ def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None,
               analyses=None) -> None:
     """Compile every job of the batch, filling ``job.response``.
 
-    With a :class:`~repro.parallel.WorkerPool`, the whole batch becomes
-    one cross-request shard set (see :func:`plan_shards`); without one
-    -- or if the pool (and its respawned successor) broke -- requests
-    run serially in-process.  Either way every job ends with a response
+    With a :class:`~repro.parallel.WorkerPool`, the whole batch is one
+    :func:`~repro.parallel.run_units` call; without one -- or when the
+    engine declines (see :mod:`repro.parallel`) -- requests run
+    serially in-process.  Either way every job ends with a response
     dict (``ok`` true or false); this function does not raise for
     per-request failures.
     """
     jobs = [job for job in jobs if job.response is None]
-    if not jobs:
-        return
     # Parse here, in the batch worker thread: the event loop only ever
     # touched the fingerprint.  A parse failure is that request's error
     # response, nothing more.
@@ -213,56 +124,24 @@ def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None,
     jobs = parsed
     if not jobs:
         return
-    if pool is None or not fork_available():
+    sharded = None
+    if pool is not None:
+        sharded = run_units(
+            [Job(job.request.module, job.request.experiment,
+                 job.request.phases, job.request.options) for job in jobs],
+            pool=pool, target=target, validate=validate, cache=cache)
+    if sharded is None:
         _run_serial(jobs, cache, target, validate, analyses=analyses)
         return
 
-    cache_path = getattr(cache, "path", cache)
-    if cache_path is not None:
-        cache_path = str(cache_path)
-    start = time.perf_counter()
-    planned = plan_shards(jobs, pool.workers)
-    specs = []
-    for i, subjobs in enumerate(planned):
-        spec_jobs = []
-        for j, names in subjobs:
-            request = jobs[j].request
-            spec_jobs.append((j, shard_module(request.module, names),
-                              request.experiment, request.phases,
-                              request.options, target, validate,
-                              cache_path))
-        specs.append((i, spec_jobs))
-    outcomes = pool.run(_serve_shard_task, specs)
-    if outcomes is None:  # even the respawned pool broke: degrade
-        _run_serial(jobs, cache, target, validate, analyses=analyses)
-        return
-    elapsed = time.perf_counter() - start
-
-    payloads: dict[int, list] = {j: [] for j in range(len(jobs))}
-    errors: dict[int, str] = {}
-    for index, results in sorted(outcomes):
-        for j, payload, error in results:
-            if error is not None:
-                errors.setdefault(j, error)
-            else:
-                payloads[j].append(payload)
-
-    batch_meta = {"size": len(jobs), "mode": "pool",
-                  "workers": len(planned)}
-    for j, job in enumerate(jobs):
-        job.wall_s = elapsed
-        job.shards = sum(1 for subjobs in planned
-                         for k, _ in subjobs if k == j)
-        if j in errors:
-            job.response = {"ok": False, "error": errors[j]}
+    workers, pool_ns, outcomes = sharded
+    for job, outcome in zip(jobs, outcomes):
+        if isinstance(outcome, Exception):
+            job.response = _error(outcome)
             continue
         request = job.request
-        order = {name: i
-                 for i, name in enumerate(request.module.functions)}
-        merged = _merge_module(request.module, payloads[j])
-        job.response = _respond(
-            request.experiment, merged,
-            _merge_phase_stats(payloads[j], order),
-            _merge_cache_stats(payloads[j]),
-            _merge_store_stats(payloads[j]),
-            {**batch_meta, "shards": job.shards})
+        result = merge_job(request.module, request.experiment, outcome,
+                           workers=workers, pool_ns=pool_ns)
+        job.response = _respond(result, {"size": len(jobs), "mode": "pool",
+                                         "workers": workers,
+                                         "shards": len(outcome)})

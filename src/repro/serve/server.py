@@ -5,11 +5,10 @@ time: the imported compiler, a persistent
 :class:`~repro.parallel.WorkerPool` (forked once at startup, respawned
 on ``BrokenProcessPool``), one process-lifetime
 :class:`~repro.cache.CompilationCache` (a private temporary directory
-unless ``--cache-dir`` pins it) and per-worker
-:class:`~repro.analysis.manager.AnalysisManager`\\ s.  Requests arrive
+unless ``--cache-dir`` pins it).  Requests arrive
 over a unix socket (NDJSON, see :mod:`.protocol`) and optionally a
 minimal localhost HTTP listener; concurrent in-flight compiles are
-coalesced by the batch loop into one cross-request shard set
+coalesced by the batch loop into one call of the parallel engine
 (:mod:`.batcher`), and identical requests collapse via the cache-key
 fingerprint twice over: concurrent ones ride the same in-flight
 future, repeats hit a bounded response memo and skip compilation (and
@@ -104,8 +103,8 @@ class CompileServer:
             self.cache = resolve_cache(self._cache_tempdir)
         self.ledger = resolve_ledger(ledger)
         self.metrics = MetricsRegistry()
-        #: Serial-path lifetime analysis manager (jobs=1 twin of the
-        #: pool workers' process-lifetime managers).
+        #: Serial-path lifetime analysis manager (flushed after every
+        #: request).
         self.analyses = AnalysisManager()
         self.started = time.time()
         self.worker_pids: list[int] = []

@@ -15,9 +15,9 @@ import pytest
 
 from repro.benchgen import load_suite
 from repro.ir.printer import format_module
+from repro.metrics import count_instructions
 from repro.observability import Tracer, validate_stats
-from repro.parallel import (fork_available, partition_functions,
-                            resolve_jobs)
+from repro.parallel import fork_available, partition, resolve_jobs
 from repro.pipeline import (TABLE_EXPERIMENTS, PhaseOptions,
                             run_experiment, run_experiments, run_table,
                             run_table5)
@@ -86,21 +86,27 @@ class TestJobResolution:
         assert resolve_jobs(None) == 1
 
 
+def function_units(module):
+    """The engine's ``(weight, key)`` units of one module."""
+    return [(count_instructions(f), f.name)
+            for f in module.iter_functions()]
+
+
 class TestPartition:
     def test_covers_every_function_once(self, kernels):
         for workers in (1, 2, 4, 7):
-            shards = partition_functions(kernels.module, workers)
+            shards = partition(function_units(kernels.module), workers)
             names = [n for shard in shards for n in shard]
             assert sorted(names) == sorted(kernels.module.functions)
             assert len(shards) <= workers
 
     def test_deterministic(self, kernels):
-        assert partition_functions(kernels.module, 4) == \
-            partition_functions(kernels.module, 4)
+        units = function_units(kernels.module)
+        assert partition(units, 4) == partition(list(units), 4)
 
     def test_more_workers_than_functions(self):
         module = module_of(TWO_FUNCTIONS)
-        shards = partition_functions(module, 16)
+        shards = partition(function_units(module), 16)
         assert len(shards) == 2
 
 
@@ -230,8 +236,9 @@ endfunc
                                               monkeypatch):
         import repro.parallel as par
 
-        monkeypatch.setattr(par, "_run_pool",
-                            lambda *args, **kwargs: None)
+        # ``run`` returns None only when even the respawned pool broke.
+        monkeypatch.setattr(par.WorkerPool, "run",
+                            lambda self, task, specs: None)
         result = run_experiment(kernels.module, "C", jobs=2)
         assert not result.parallel  # served by the serial path
         serial = run_experiment(kernels.module, "C", jobs=1)
@@ -255,6 +262,15 @@ endfunc
         with pytest.raises(ValueError, match="unknown phase"):
             run_phases_parallel(module, "broken",
                                 ("ssa", "warp-drive"), jobs=2)
+
+
+def _exit_first_time(marker: str) -> int:
+    """Pool task: kill this worker unless *marker* exists (creating it
+    first), else return the pid."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return os.getpid()
 
 
 class TestWorkerPool:
@@ -305,20 +321,19 @@ class TestWorkerPool:
         assert [format_module(r.module) for r in serial] == \
             [format_module(r.module) for r in pooled]
 
-    def test_respawn_after_worker_killed(self):
-        import signal
+    def test_respawn_after_worker_killed(self, tmp_path):
+        from repro.parallel import WorkerPool
 
-        from repro.parallel import WorkerPool, _pool_ping
-
+        marker = str(tmp_path / "died")
         with WorkerPool(2) as pool:
-            pids = pool.warm()
-            assert pids
-            os.kill(pids[0], signal.SIGKILL)
-            # The next submission trips BrokenProcessPool; the pool
-            # must respawn and retry, not fail or fall serial.
-            result = pool.run(_pool_ping, [0.0])
+            assert pool.warm()
+            # The task kills its own worker on the first attempt, so
+            # this very submission trips BrokenProcessPool; the pool
+            # must respawn and retry once, not fail or fall serial.
+            result = pool.run(_exit_first_time, [marker])
             assert result is not None and len(result) == 1
-            assert pool.respawns >= 1
+            assert os.path.exists(marker)
+            assert pool.respawns == 1
             assert pool.ping()
 
     def test_killed_worker_does_not_break_experiments(self, kernels):
