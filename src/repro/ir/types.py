@@ -80,6 +80,11 @@ class Var:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached string hash is
+        # per process (hash randomization), so it must not be pickled.
+        return (Var, (self.name, self.regclass, self.origin))
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is Var:
             return self.name == other.name  # type: ignore[attr-defined]
@@ -112,6 +117,9 @@ class PhysReg:
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        return (PhysReg, (self.name, self.regclass))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is PhysReg:

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the LAI-like assembly language.
+"""Line-oriented parser for the LAI-like assembly language.
 
 Accepts the exact syntax :mod:`repro.ir.printer` emits, so IR round-trips
 through text.  Typical input:
@@ -19,307 +19,409 @@ through text.  Typical input:
         ret F^R0
     endfunc
 
+One statement per line, optionally preceded by ``label:`` prefixes;
+comments start with ``;`` or ``//`` and run to the end of the line.
+Tokens are identifiers (opcodes, labels, variables such as ``x.3``),
+``$R0``-style registers, decimal or ``0x`` integers (optionally signed)
+and the punctuation ``: , = ( ) ^ ? # <-``.
+
 Pin resolution: in pin position (after ``^``), a name that matches a
 register of the target (``R0``, ``P3``, ``SP``...) denotes that physical
 register, anything else denotes a *virtual resource* (a variable).  In
 operand position, physical registers must be written ``$R0`` to keep
 them visually distinct from variables.
+
+The whole source is split into tokens by one ``findall`` of
+:data:`_TOKEN`, with ``"\\n"`` tokens ending lines, and statements are
+built straight from that list.  A character outside the grammar comes
+out as a one-character token no statement accepts; diagnostics rescan
+the source with the same regex to report the offending line, column
+and token, giving a lexical error anywhere precedence over a syntax
+error, as if the whole source had been tokenized first.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from ..ir.function import Function, Module
 from ..ir.instructions import OPCODES, Instruction, Operand
-from ..ir.types import Imm, PhysReg, RegClass, Resource, Value, Var
+from ..ir.types import Imm, PhysReg, RegClass, Value, Var
 from ..machine.st120 import ST120
 from ..machine.target import Target
-from .lexer import LaiSyntaxError, Token, tokenize
+
+#: Identifiers, punctuation, numbers, registers and any other non-blank
+#: character, which no statement accepts; a ``"\n"`` token ends every
+#: line.  The alternatives start with distinct characters, so their
+#: order (most frequent first) changes no token -- except that a hex
+#: number must be tried before a decimal one and the catch-all last.
+_TOKEN = re.compile(r"""
+    [A-Za-z_][A-Za-z0-9_.]*
+  | [:,=()^?\#] | <-
+  | -?0[xX][0-9a-fA-F]+ | -?[0-9]+
+  | \$[A-Za-z][A-Za-z0-9]*
+  | [^ \t]
+""", re.VERBOSE)
+_COMMENT = re.compile(r"(?:;|//)[^\n]*")
+_DIGITS = "0123456789"
+_NUM_START = _DIGITS + "-"
+_IDENT_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+
+
+class LaiSyntaxError(Exception):
+    """Lexical or syntactic error in LAI source.
+
+    Carries a structured location so tooling (the fuzzing minimizer,
+    generator round-trip checks, editors) can point at the offending
+    source instead of re-parsing a bare message: ``line`` (1-based),
+    ``column`` (1-based, ``None`` when unknown) and ``token`` (the
+    offending token text, ``None`` when the error is not anchored to
+    one token).
+    """
+
+    def __init__(self, message: str, line: int,
+                 column: "int | None" = None,
+                 token: "str | None" = None) -> None:
+        where = f"line {line}" if column is None \
+            else f"line {line}, col {column}"
+        detail = f"{where}: {message}"
+        if token is not None and repr(token) not in message:
+            detail += f" (at {token!r})"
+        super().__init__(detail)
+        self.line = line
+        self.column = column
+        self.token = token
+
+
+@dataclass(frozen=True)
+class Token:
+    """One token of :func:`tokenize`: ``kind`` is ``IDENT``, ``REG``
+    (``text`` without the ``$``), ``NUM``, ``PUNCT``, or the synthetic
+    ``NEWLINE``/``EOF`` (column 0: no source extent)."""
+
+    kind: str
+    text: str
+    line: int
+    column: int = 0
+
+    def __repr__(self) -> str:
+        return (f"Token({self.kind}, {self.text!r}, "
+                f"line {self.line}, col {self.column})")
+
+
+def _kind(text: str) -> Optional[str]:
+    """Token kind of a :data:`_TOKEN` match; ``None`` for a character
+    outside the grammar."""
+    head = text[0]
+    if head in _IDENT_START:
+        return "IDENT"
+    if len(text) > 1:
+        return "REG" if head == "$" else "PUNCT" if head == "<" else "NUM"
+    if head in _DIGITS:
+        return "NUM"
+    return "PUNCT" if head in ":,=()^?#" else None
+
+
+def _scan(line: str, line_no: int) -> list[tuple[int, str, str]]:
+    """``(column, kind, text)`` of every token on one source line."""
+    tokens = []
+    for match in _TOKEN.finditer(_COMMENT.sub("", line)):
+        text, column = match.group(), match.start() + 1
+        kind = _kind(text)
+        if kind is None:
+            raise LaiSyntaxError(f"unexpected character {text!r}", line_no,
+                                 column=column, token=text)
+        tokens.append((column, kind, text[1:] if kind == "REG" else text))
+    return tokens
+
+
+def tokenize(source: str) -> Iterator[Token]:
+    """Yield tokens for *source*; NEWLINE after each line with tokens."""
+    line_no = 1
+    for line_no, line in enumerate(source.splitlines(), start=1):
+        tokens = _scan(line, line_no)
+        for column, kind, text in tokens:
+            yield Token(kind, text, line_no, column)
+        if tokens:
+            yield Token("NEWLINE", "", line_no)
+    yield Token("EOF", "", line_no)
+
+
+class _At(Exception):
+    """``_At(message, index)``: a syntax error at token *index* of the
+    token list being parsed."""
+
+
+def _shown(token: str) -> str:
+    """A token as diagnostics quote it."""
+    return "" if token == "\n" else token[1:] if token[0] == "$" else token
+
+
+def _expected(want: str, tokens: list[str], index: int) -> _At:
+    want = "NEWLINE" if want == "\n" else want
+    return _At(f"expected {want!r}, found {_shown(tokens[index])!r}", index)
+
+
+def _ident(tokens: list[str], index: int) -> str:
+    token = tokens[index]
+    if token[0] not in _IDENT_START:
+        raise _expected("IDENT", tokens, index)
+    return token
+
+
+def _expect(want: str, tokens: list[str], index: int) -> int:
+    if tokens[index] != want:
+        raise _expected(want, tokens, index)
+    return index + 1
 
 
 class Parser:
+    """Parses LAI *source* for *target*: ``Parser(source).parse_module()``."""
+
     def __init__(self, source: str, target: Target = ST120) -> None:
-        self.tokens = list(tokenize(source))
-        self.pos = 0
+        self.source = source
         self.target = target
-        self.function: Optional[Function] = None
-        self._vars: dict[str, Var] = {}
+        self._registers = {"$" + name: reg
+                           for name, reg in target.registers.items()}
+        self._pins = {**target.registers, **self._registers}
+        #: Values of the current function by token: ``$R0`` registers
+        #: and one :class:`Var` per name, shared by operands and pins.
+        self._values: dict[str, Value] = {}
 
-    # ------------------------------------------------------------------
-    # Token plumbing
-    # ------------------------------------------------------------------
-    def _peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def _next(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "EOF":
-            self.pos += 1
-        return token
-
-    def _error(self, message: str, token: Token) -> "LaiSyntaxError":
-        """A syntax error anchored at *token* (line, column, text)."""
-        return LaiSyntaxError(message, token.line,
-                              column=token.column or None,
-                              token=token.text or token.kind)
-
-    def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self._next()
-        if token.kind != kind or (text is not None and token.text != text):
-            want = text or kind
-            raise self._error(
-                f"expected {want!r}, found {token.text!r}", token)
-        return token
-
-    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        token = self._peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self._next()
-        return None
-
-    def _skip_newlines(self) -> None:
-        while self._accept("NEWLINE"):
-            pass
-
-    # ------------------------------------------------------------------
-    # Values
-    # ------------------------------------------------------------------
-    def _var(self, name: str) -> Var:
-        if name not in self._vars:
-            regclass = RegClass.GPR
-            if name.startswith(("p_", "ptr_")):
-                regclass = RegClass.PTR
-            self._vars[name] = Var(name, regclass)
-        return self._vars[name]
-
-    def _reg(self, name: str, token: Token) -> PhysReg:
-        reg = self.target.registers.get(name)
-        if reg is None:
-            raise self._error(f"unknown register {name!r}", token)
-        return reg
-
-    def _parse_value(self) -> Value:
-        token = self._next()
-        if token.kind == "NUM":
-            return Imm(int(token.text, 0))
-        if token.kind == "REG":
-            return self._reg(token.text, token)
-        if token.kind == "IDENT":
-            return self._var(token.text)
-        raise self._error(f"expected operand, found {token.text!r}", token)
-
-    def _parse_pin(self) -> Optional[Resource]:
-        if not self._accept("PUNCT", "^"):
-            return None
-        token = self._next()
-        if token.kind == "REG":
-            return self._reg(token.text, token)
-        if token.kind == "IDENT":
-            if token.text in self.target.registers:
-                return self._reg(token.text, token)
-            return self._var(token.text)
-        raise self._error(f"expected pin target, found {token.text!r}",
-                          token)
-
-    def _parse_operand(self, is_def: bool = False) -> Operand:
-        value = self._parse_value()
-        pin = self._parse_pin()
-        return Operand(value, pin, is_def)
-
-    def _parse_operand_list(self, is_def: bool = False) -> list[Operand]:
-        operands = [self._parse_operand(is_def)]
-        while self._accept("PUNCT", ","):
-            operands.append(self._parse_operand(is_def))
-        return operands
-
-    # ------------------------------------------------------------------
-    # Top level
-    # ------------------------------------------------------------------
     def parse_module(self, name: str = "module") -> Module:
+        text = "\n".join(self.source.splitlines()) + "\n"
+        if ";" in text or "//" in text:
+            text = _COMMENT.sub("", text)
+        tokens = _TOKEN.findall(text)
         module = Module(name)
-        self._skip_newlines()
-        while self._peek().kind != "EOF":
-            module.add_function(self._parse_function())
-            self._skip_newlines()
+        try:
+            self._parse(module, tokens)
+        except _At as error:
+            raise self._locate(error, tokens) from None
         return module
 
-    def _parse_function(self) -> Function:
-        self._expect("IDENT", "func")
-        name_token = self._expect("IDENT")
-        self._expect("NEWLINE")
-        self.function = Function(name_token.text)
-        self._vars = {}
-        current = None
-        self._skip_newlines()
-        while True:
-            token = self._peek()
-            if token.kind == "EOF":
-                raise self._error(
-                    f"unterminated function {self.function.name!r} "
-                    f"(missing 'endfunc')", token)
-            if token.kind == "IDENT" and token.text == "endfunc":
-                self._next()
-                self._accept("NEWLINE")
-                break
-            # Label?
-            if (token.kind == "IDENT"
-                    and self.tokens[self.pos + 1].kind == "PUNCT"
-                    and self.tokens[self.pos + 1].text == ":"):
-                self._next()
-                self._expect("PUNCT", ":")
-                self._accept("NEWLINE")
-                current = self.function.add_block(token.text)
-                continue
-            if current is None:
-                current = self.function.add_block("entry")
-            current.append(self._parse_instruction())
-            self._expect("NEWLINE")
-            self._skip_newlines()
-        function = self.function
-        self.function = None
-        return function
+    def _parse(self, module: Module, tokens: list[str]) -> None:
+        function = block = None
+        i, end = 0, len(tokens)
+        while i < end:
+            head = tokens[i]
+            if head == "\n":
+                i += 1
+            elif function is None:
+                if head != "func":
+                    raise _expected("func", tokens, i)
+                name = _ident(tokens, i + 1)
+                i = _expect("\n", tokens, i + 2)
+                function = Function(name)
+                self._values = dict(self._registers)
+                block = None
+            elif head == "endfunc":
+                module.add_function(function)
+                function = None
+                i += 1
+            elif tokens[i + 1] == ":" and head[0] in _IDENT_START:
+                block = function.add_block(head)
+                i += 2
+            else:
+                if block is None:
+                    block = function.add_block("entry")
+                instr, i = self._instruction(tokens, i)
+                if tokens[i] != "\n":
+                    raise _expected("\n", tokens, i)
+                block.append(instr)
+                i += 1
+        if function is not None:
+            raise _At(f"unterminated function {function.name!r} "
+                      f"(missing 'endfunc')", end)
+
+    def _locate(self, error: _At, tokens: list[str]) -> LaiSyntaxError:
+        """*error* with its source line, column and token -- or the first
+        lexical error of the source, which takes precedence."""
+        for _ in tokenize(self.source):
+            pass
+        message, index = error.args
+        if index == len(tokens):
+            return LaiSyntaxError(message, tokens.count("\n"), token="EOF")
+        first = index
+        while first and tokens[first - 1] != "\n":
+            first -= 1
+        line_no = tokens[:first].count("\n") + 1
+        if tokens[index] == "\n":
+            return LaiSyntaxError(message, line_no, token="NEWLINE")
+        line = self.source.splitlines()[line_no - 1]
+        column, _, text = _scan(line, line_no)[index - first]
+        return LaiSyntaxError(message, line_no, column, text)
 
     # ------------------------------------------------------------------
-    # Instructions
+    # Operands
     # ------------------------------------------------------------------
-    def _parse_instruction(self) -> Instruction:
-        token = self._peek()
-        # "x = phi(...)" / "x = psi(...)" / "x^r = phi(...)"
-        if token.kind == "IDENT" and token.text not in OPCODES \
-                and token.text != "call":
-            after = self.tokens[self.pos + 1]
-            if after.kind == "PUNCT" and after.text in ("=", "^"):
-                return self._parse_assignment()
+    def _var(self, name: str) -> Var:
+        ptr = name.startswith(("p_", "ptr_"))
+        var = self._values[name] = Var(name, RegClass.PTR if ptr
+                                       else RegClass.GPR)
+        return var
+
+    def _value(self, tokens: list[str], i: int) -> Value:
+        """The value of a token not yet in ``_values``."""
+        token = tokens[i]
+        head = token[0]
+        if head in _IDENT_START:
+            return self._var(token)
+        if head in _NUM_START:
+            try:
+                return Imm(int(token, 0))
+            except ValueError:
+                raise _At(f"malformed number {token!r}", i) from None
+        if head == "$":
+            raise _At(f"unknown register {token[1:]!r}", i)
+        raise _At(f"expected operand, found {_shown(token)!r}", i)
+
+    def _pin(self, tokens: list[str], i: int) -> PhysReg | Var:
+        token = tokens[i]
+        pin = self._pins.get(token)
+        if pin is not None:
+            return pin
+        if token[0] in _IDENT_START:
+            return self._values.get(token) or self._var(token)
+        if token[0] == "$":
+            raise _At(f"unknown register {token[1:]!r}", i)
+        raise _At(f"expected pin target, found {_shown(token)!r}", i)
+
+    def _operand(self, tokens: list[str], i: int,
+                 is_def: bool = False) -> tuple[Operand, int]:
+        value = self._values.get(tokens[i]) or self._value(tokens, i)
+        if tokens[i + 1] != "^":
+            return Operand(value, None, is_def), i + 1
+        pin = self._pin(tokens, i + 2)
+        if value.__class__ is Imm:
+            raise _At("an immediate operand cannot be pinned", i)
+        return Operand(value, pin, is_def), i + 3
+
+    def _operands(self, tokens: list[str], i: int, is_def: bool = False,
+                  offset: bool = False) -> tuple[list[Operand], int]:
+        """``operand (',' operand)*`` from token *i*; with *offset*, the
+        list also ends before ``, #``."""
+        operand, i = self._operand(tokens, i, is_def)
+        operands = [operand]
+        while tokens[i] == "," and not (offset and tokens[i + 1] == "#"):
+            operand, i = self._operand(tokens, i + 1, is_def)
+            operands.append(operand)
+        return operands, i
+
+    # ------------------------------------------------------------------
+    # Instructions: each returns the instruction and the index of the
+    # token after it, which the caller requires to end the line.
+    # ------------------------------------------------------------------
+    def _instruction(self, tokens: list[str],
+                     i: int) -> tuple[Instruction, int]:
+        op = tokens[i]
+        spec = OPCODES.get(op)
+        if spec is None:
+            if op[0] not in _IDENT_START:
+                raise _expected("IDENT", tokens, i)
+            if tokens[i + 1] in ("=", "^"):
+                return self._assignment(tokens, i)
             # Not assignment syntax: a mistyped mnemonic, reported as
             # such instead of a puzzling "expected '='".
-            raise self._error(f"unknown opcode {token.text!r}", token)
-        mnemonic = self._expect("IDENT")
-        op = mnemonic.text
-        if op == "call":
-            return self._parse_call(mnemonic.line)
-        if op == "pcopy":
-            return self._parse_pcopy()
+            raise _At(f"unknown opcode {op!r}", i)
+        i += 1
+        if spec.n_defs is not None and not spec.is_terminator:
+            operands: list[Operand] = []
+            if tokens[i] != "\n":
+                operands, i = self._operands(tokens, i, offset=True)
+            offset = 0
+            if tokens[i] == ",":  # the list ended at ", #offset"
+                if tokens[i + 2][0] not in _NUM_START:
+                    raise _expected("NUM", tokens, i + 2)
+                offset = self._value(tokens, i + 2).value
+                i += 3
+            n_defs = spec.n_defs
+            return Instruction(op, operands[:n_defs], operands[n_defs:],
+                               {"offset": offset} if offset else None), i
         if op == "br":
-            target = self._expect("IDENT")
-            return Instruction("br", attrs={"targets": [target.text]})
+            return Instruction("br", attrs={"targets": [
+                _ident(tokens, i)]}), i + 1
         if op == "cbr":
-            cond = self._parse_operand()
-            self._expect("PUNCT", ",")
-            taken = self._expect("IDENT").text
-            self._expect("PUNCT", ",")
-            fallthrough = self._expect("IDENT").text
+            cond, i = self._operand(tokens, i)
+            taken = _ident(tokens, _expect(",", tokens, i))
+            fallthrough = _ident(tokens, _expect(",", tokens, i + 2))
             if taken == fallthrough:
-                return Instruction("br", attrs={"targets": [taken]})
-            return Instruction("cbr", uses=[cond],
-                               attrs={"targets": [taken, fallthrough]})
+                return Instruction("br", attrs={"targets": [taken]}), i + 4
+            return Instruction("cbr", uses=[cond], attrs={
+                "targets": [taken, fallthrough]}), i + 4
         if op == "ret":
-            uses = []
-            if self._peek().kind != "NEWLINE":
-                uses = self._parse_operand_list()
-            return Instruction("ret", uses=uses)
+            uses: list[Operand] = []
+            if tokens[i] != "\n":
+                uses, i = self._operands(tokens, i)
+            return Instruction("ret", uses=uses), i
         if op == "input":
-            defs = self._parse_operand_list(is_def=True)
-            return Instruction("input", defs=defs)
-        if op not in OPCODES:
-            raise self._error(f"unknown opcode {op!r}", mnemonic)
-        spec = OPCODES[op]
-        operands = []
-        offset = 0
-        if self._peek().kind != "NEWLINE":
-            operands = [self._parse_operand()]
-            while self._accept("PUNCT", ","):
-                if self._accept("PUNCT", "#"):
-                    offset = int(self._expect("NUM").text, 0)
-                    break
-                operands.append(self._parse_operand())
-        n_defs = spec.n_defs or 0
-        defs = operands[:n_defs]
-        uses = operands[n_defs:]
-        for d in defs:
-            d.is_def = True
-        attrs = {"offset": offset} if offset else None
-        return Instruction(op, defs, uses, attrs)
+            defs, i = self._operands(tokens, i, is_def=True)
+            return Instruction("input", defs=defs), i
+        if op == "call":
+            return self._call(tokens, i)
+        return self._pcopy(tokens, i)
 
-    def _parse_assignment(self) -> Instruction:
-        dest = self._parse_operand(is_def=True)
-        self._expect("PUNCT", "=")
-        op_token = self._expect("IDENT")
-        if op_token.text == "phi":
-            return self._parse_phi(dest)
-        if op_token.text == "psi":
-            return self._parse_psi(dest)
-        raise self._error(
-            f"only phi/psi use assignment syntax, found {op_token.text!r}",
-            op_token)
-
-    def _parse_phi(self, dest: Operand) -> Instruction:
-        self._expect("PUNCT", "(")
+    def _assignment(self, tokens: list[str],
+                    i: int) -> tuple[Instruction, int]:
+        """``x = phi(v:L, ...)`` / ``x = psi(g ? v, ...)``, maybe pinned."""
+        dest, i = self._operand(tokens, i, is_def=True)
+        i = _expect("=", tokens, i)
+        op = _ident(tokens, i)
+        if op not in ("phi", "psi"):
+            raise _At(f"only phi/psi use assignment syntax, found {op!r}", i)
+        i = _expect("(", tokens, i + 1)
         labels: list[str] = []
         uses: list[Operand] = []
         while True:
-            use = self._parse_operand()
-            self._expect("PUNCT", ":")
-            label = self._expect("IDENT")
+            use, i = self._operand(tokens, i)
             uses.append(use)
-            labels.append(label.text)
-            if not self._accept("PUNCT", ","):
+            if op == "phi":
+                labels.append(_ident(tokens, _expect(":", tokens, i)))
+                i += 2
+            else:
+                value, i = self._operand(tokens, _expect("?", tokens, i))
+                uses.append(value)
+            if tokens[i] != ",":
                 break
-        self._expect("PUNCT", ")")
-        return Instruction("phi", [dest], uses, {"incoming": labels})
+            i += 1
+        i = _expect(")", tokens, i)
+        if op == "phi":
+            return Instruction("phi", [dest], uses, {"incoming": labels}), i
+        return Instruction("psi", [dest], uses), i
 
-    def _parse_psi(self, dest: Operand) -> Instruction:
-        self._expect("PUNCT", "(")
-        uses: list[Operand] = []
-        while True:
-            guard = self._parse_operand()
-            self._expect("PUNCT", "?")
-            value = self._parse_operand()
-            uses.extend([guard, value])
-            if not self._accept("PUNCT", ","):
-                break
-        self._expect("PUNCT", ")")
-        return Instruction("psi", [dest], uses)
-
-    def _parse_call(self, line: int) -> Instruction:
+    def _call(self, tokens: list[str], i: int) -> tuple[Instruction, int]:
         # Forms:  call f(a, b)          no results
         #         call d = f(a, b)      one result
         #         call d, e = f(a)      several results
         #         call $R0 = f($R0)     register results (ABI-lowered)
-        operands: list[Operand] = []
-        callee: Optional[str] = None
-        token = self._peek()
-        if token.kind not in ("IDENT", "REG"):
-            raise self._error(
-                "malformed call: expected callee or result list", token)
-        # Lookahead: IDENT '(' means no-result form.
-        if (token.kind == "IDENT"
-                and self.tokens[self.pos + 1].kind == "PUNCT"
-                and self.tokens[self.pos + 1].text == "("):
-            callee = self._next().text
-        else:
-            operands = self._parse_operand_list(is_def=True)
-            self._expect("PUNCT", "=")
-            callee = self._expect("IDENT").text
-        self._expect("PUNCT", "(")
+        head = tokens[i]
+        if head[0] not in _IDENT_START and head[0] != "$":
+            raise _At("malformed call: expected callee or result list", i)
+        defs: list[Operand] = []
+        if head[0] == "$" or tokens[i + 1] != "(":
+            defs, i = self._operands(tokens, i, is_def=True)
+            i = _expect("=", tokens, i)
+        callee = _ident(tokens, i)
+        i = _expect("(", tokens, i + 1)
         uses: list[Operand] = []
-        if not self._accept("PUNCT", ")"):
-            uses = self._parse_operand_list()
-            self._expect("PUNCT", ")")
-        return Instruction("call", operands, uses, {"callee": callee})
+        if tokens[i] != ")":
+            uses, i = self._operands(tokens, i)
+        i = _expect(")", tokens, i)
+        return Instruction("call", defs, uses, {"callee": callee}), i
 
-    def _parse_pcopy(self) -> Instruction:
+    def _pcopy(self, tokens: list[str], i: int) -> tuple[Instruction, int]:
         defs: list[Operand] = []
         uses: list[Operand] = []
         while True:
-            dest = self._parse_operand(is_def=True)
-            self._expect("PUNCT", "<-")
-            src = self._parse_operand()
+            dest, i = self._operand(tokens, i, is_def=True)
+            src, i = self._operand(tokens, _expect("<-", tokens, i))
             defs.append(dest)
             uses.append(src)
-            if not self._accept("PUNCT", ","):
-                break
-        return Instruction("pcopy", defs, uses)
+            if tokens[i] != ",":
+                return Instruction("pcopy", defs, uses), i
+            i += 1
 
 
 def parse_module(source: str, name: str = "module",

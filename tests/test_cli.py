@@ -1,6 +1,9 @@
 """Command-line interface tests (driving main() directly)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +103,20 @@ class TestCompile:
         bad.write_text("func f\n    frobnicate x\nendfunc\n")
         with pytest.raises(SystemExit):
             main(["compile", str(bad)])
+
+    def test_malformed_number_exits_with_location(self, tmp_path):
+        bad = tmp_path / "bad.lai"
+        bad.write_text("func f\nentry:\n    make x, 08\n    ret x\n"
+                       "endfunc\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "compile", str(bad)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert run.returncode != 0
+        assert run.stdout == ""
+        assert run.stderr.splitlines() == [
+            f"{bad}: line 3, col 13: malformed number '08'"]
 
 
 class TestExperiments:

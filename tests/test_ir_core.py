@@ -1,5 +1,9 @@
 """Unit tests for the IR core: values, operands, instructions, blocks."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.ir import (OPCODES, BasicBlock, Imm, Instruction, Operand,
@@ -47,6 +51,30 @@ class TestValues:
     def test_wrap32_negative(self):
         assert wrap32(-1) == -1
         assert wrap32(-(2**31) - 1) == 2**31 - 1
+
+    def test_unpickled_values_hash_like_fresh_ones_across_processes(self):
+        # String hashes differ per process: a Var/PhysReg written to a
+        # cache by one process must hash like a fresh one in another.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+        def run(seed: str, code: str, stdin: str = "") -> str:
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env,
+                capture_output=True, text=True, check=True).stdout.strip()
+
+        dumped = run("1", (
+            "import pickle; from repro.ir import PhysReg, RegClass, Var; "
+            "sp = PhysReg('SP', RegClass.SP); "
+            "print(pickle.dumps([Var('x'), PhysReg('R0'), "
+            "Var('sp.1', RegClass.SP, sp)]).hex())"))
+        checked = run("2", (
+            "import pickle, sys; from repro.ir import PhysReg, Var; "
+            "x, r0, sp1 = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+            "print(x in {Var('x')}, r0 in {PhysReg('R0')}, "
+            "sp1 in {Var('sp.1')}, sp1.origin in {PhysReg('SP')}, "
+            "sp1.regclass.name, sp1.origin.regclass.name)"), dumped)
+        assert checked == "True True True True SP SP"
 
 
 class TestOperand:

@@ -145,6 +145,25 @@ endfunc
         with pytest.raises(ValueError):
             parse_module("func a\n    ret\nendfunc\nfunc a\n    ret\nendfunc")
 
+    @pytest.mark.parametrize("line,column,token", [
+        ("    make x, 08", 13, "08"),
+        ("    load y, p, #09", 17, "09"),
+        ("    add z, p, -007", 15, "-007"),
+    ])
+    def test_leading_zero_decimal_is_a_syntax_error(self, line, column,
+                                                    token):
+        source = f"func f\n    input p\n{line}\n    ret\nendfunc"
+        with pytest.raises(LaiSyntaxError) as info:
+            parse_module(source)
+        assert (info.value.line, info.value.column, info.value.token) == \
+            (3, column, token)
+
+    def test_pinned_immediate_is_a_syntax_error(self):
+        with pytest.raises(LaiSyntaxError) as info:
+            parse_module("func f\n    copy x, 5^R0\n    ret\nendfunc")
+        assert (info.value.line, info.value.column, info.value.token) == \
+            (2, 13, "5")
+
     def test_unterminated_function(self):
         with pytest.raises(LaiSyntaxError):
             parse_function("func f\nentry:\n    ret")

@@ -416,6 +416,20 @@ def test_private_cache_tempdir_removed_on_shutdown(sock_dir):
     assert not os.path.exists(tempdir)
 
 
+def test_batch_isolates_a_malformed_number():
+    from repro.serve.batcher import ServeJob, run_batch
+
+    good = "func f\nentry:\n    input a\n    add x, a, 1\n    ret x\nendfunc"
+    bad = good.replace("add x, a, 1", "add x, a, 08")
+    jobs = [ServeJob(1, parse_compile({"source": good})),
+            ServeJob(2, parse_compile({"source": bad}))]
+    run_batch(jobs)
+    assert jobs[0].response["ok"] is True
+    assert jobs[1].response == {
+        "ok": False,
+        "error": "parse error: line 4, col 15: malformed number '08'"}
+
+
 # ----------------------------------------------------------------------
 # Suite sanity: the three serve-smoke suites exist
 # ----------------------------------------------------------------------
