@@ -22,12 +22,16 @@ tier comes from the ``tier=`` argument when given, else from the
     Run the compiled tier (which reports the trace and feeds the
     tracer/`on_block` hooks, so counters are counted exactly once),
     then silently replay on the reference tier and assert identical
-    observables *and* step counts -- raising :class:`TierDivergence`
-    on any mismatch.  The lockstep cross-check behind the fuzz
-    harness's ``interp`` check and the CI ``REPRO_INTERP=both`` legs.
+    observables, value types *and* step counts -- raising
+    :class:`TierDivergence` on any mismatch.  Types matter because
+    ``True == 1``: a tier that produced a ``bool`` where the other
+    produced an ``int`` would otherwise pass.  The lockstep
+    cross-check behind the fuzz harness's ``interp`` check and the CI
+    ``REPRO_INTERP=both`` legs.
 """
 
 import os
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .compiled import (CompiledInterpreter, clear_code_cache,
@@ -58,6 +62,12 @@ def resolve_tier(tier: Optional[str] = None) -> str:
             f"unknown interpreter tier {tier!r} (expected one of "
             f"{', '.join(TIERS)})")
     return tier
+
+
+def _observed_values(trace: Trace):
+    """Every result, store address and value, and call argument."""
+    return chain(trace.results, chain.from_iterable(trace.stores),
+                 chain.from_iterable(args for _, args in trace.calls))
 
 
 def _run_both(module: Module, function_name: str, args, memory,
@@ -101,6 +111,13 @@ def _run_both(module: Module, function_name: str, args, memory,
             f"interpreter tiers diverged on {where}: compiled observed "
             f"{compiled_trace.observable()!r}, reference "
             f"{reference_trace.observable()!r}")
+    for got, want in zip(_observed_values(compiled_trace),
+                         _observed_values(reference_trace)):
+        if type(got) is not type(want):
+            raise TierDivergence(
+                f"interpreter tiers diverged on {where}: compiled "
+                f"observed {type(got).__name__} {got!r}, reference "
+                f"{type(want).__name__} {want!r}")
     if compiled_trace.steps != reference_trace.steps:
         raise TierDivergence(
             f"interpreter tiers diverged on {where}: compiled counted "

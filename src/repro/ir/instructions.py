@@ -8,7 +8,7 @@ either a definition (write) or a use (read).  Each operand may carry a
 An :class:`Instruction` is an opcode plus lists of def and use operands,
 with extra payload in ``attrs`` (branch targets, callee name, phi incoming
 block labels, ...).  The instruction set is described declaratively by
-:class:`OpSpec` entries in :data:`OPCODES`; the reference interpreter, the
+:class:`OpSpec` entries in :data:`OPCODES`; both interpreter tiers, the
 verifier and the ABI-constraint collector all consult the same table, so
 instruction semantics live in exactly one place.
 
@@ -35,7 +35,8 @@ Notable opcodes
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .types import Imm, Resource, Value, Var, wrap32
@@ -83,10 +84,23 @@ class OpSpec:
         Opcode mnemonic.
     n_defs / n_uses:
         Expected operand counts; ``None`` means variadic.
+    kernel:
+        The opcode's scalar arithmetic: a pure function taking one
+        Python int per use and returning one unwrapped int (a C-level
+        ``operator`` function where one exists).  ``None`` for opcodes
+        with special interpreter handling (control flow, memory, calls,
+        phi, pcopy, psi).  This is the only arithmetic table: the
+        compiled interpreter tier binds ``kernel`` directly and wraps
+        the result to 32 bits itself.
+    predicate:
+        True when ``kernel`` returns a truth value (the comparisons);
+        the instruction's def is then exactly ``1`` or ``0``.
     evaluate:
-        Pure function from use values (Python ints) to a tuple of def
-        values; ``None`` for opcodes with special interpreter handling
-        (control flow, memory, calls, phi, pcopy, psi).
+        Derived from ``kernel`` (not a constructor argument): use
+        values to the 1-tuple of the def value -- ``wrap32`` of the
+        kernel's result, or ``1``/``0`` for a predicate.  ``None``
+        exactly when ``kernel`` is.  The reference interpreter and
+        constant folding call this form.
     tied:
         Pairs ``(def_index, use_index)`` whose operands must share a
         resource -- the 2-operand constraints collected by ``pinningABI``.
@@ -102,24 +116,29 @@ class OpSpec:
     name: str
     n_defs: Optional[int]
     n_uses: Optional[int]
-    evaluate: Optional[Callable[..., tuple]] = None
+    kernel: Optional[Callable[..., int]] = None
+    predicate: bool = False
     tied: tuple = ()
     is_terminator: bool = False
     has_side_effects: bool = False
     commutative: bool = False
+    evaluate: Optional[Callable[..., tuple]] = field(
+        init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kernel is not None:
+            object.__setattr__(self, "evaluate",
+                               _evaluator(self.kernel, self.predicate))
 
 
-def _binop(fn: Callable[[int, int], int]) -> Callable[..., tuple]:
-    def evaluate(a: int, b: int) -> tuple:
-        return (wrap32(fn(a, b)),)
-
-    return evaluate
-
-
-def _unop(fn: Callable[[int], int]) -> Callable[..., tuple]:
-    def evaluate(a: int) -> tuple:
-        return (wrap32(fn(a)),)
-
+def _evaluator(kernel: Callable[..., int],
+               predicate: bool) -> Callable[..., tuple]:
+    if predicate:
+        def evaluate(*args: int) -> tuple:
+            return (1 if kernel(*args) else 0,)
+    else:
+        def evaluate(*args: int) -> tuple:
+            return (wrap32(kernel(*args)),)
     return evaluate
 
 
@@ -155,42 +174,40 @@ def _register(spec: OpSpec) -> None:
 
 for _spec in [
     # Constant materialization (paper Figure 1: "make L, 0x00A1").
-    OpSpec("make", 1, 1, evaluate=lambda a: (wrap32(a),)),
+    OpSpec("make", 1, 1, kernel=operator.pos),
     # Register-to-register move -- the instruction every experiment counts.
-    OpSpec("copy", 1, 1, evaluate=lambda a: (wrap32(a),)),
+    OpSpec("copy", 1, 1, kernel=operator.pos),
     # Plain 3-operand arithmetic.
-    OpSpec("add", 1, 2, evaluate=_binop(lambda a, b: a + b), commutative=True),
-    OpSpec("sub", 1, 2, evaluate=_binop(lambda a, b: a - b)),
-    OpSpec("mul", 1, 2, evaluate=_binop(lambda a, b: a * b), commutative=True),
-    OpSpec("div", 1, 2, evaluate=_binop(_sdiv)),
-    OpSpec("rem", 1, 2, evaluate=_binop(_srem)),
-    OpSpec("and", 1, 2, evaluate=_binop(lambda a, b: a & b), commutative=True),
-    OpSpec("or", 1, 2, evaluate=_binop(lambda a, b: a | b), commutative=True),
-    OpSpec("xor", 1, 2, evaluate=_binop(lambda a, b: a ^ b), commutative=True),
-    OpSpec("shl", 1, 2, evaluate=_binop(_shl)),
-    OpSpec("shr", 1, 2, evaluate=_binop(_shr)),
-    OpSpec("min", 1, 2, evaluate=_binop(min), commutative=True),
-    OpSpec("max", 1, 2, evaluate=_binop(max), commutative=True),
-    OpSpec("neg", 1, 1, evaluate=_unop(lambda a: -a)),
-    OpSpec("not", 1, 1, evaluate=_unop(lambda a: ~a)),
+    OpSpec("add", 1, 2, kernel=operator.add, commutative=True),
+    OpSpec("sub", 1, 2, kernel=operator.sub),
+    OpSpec("mul", 1, 2, kernel=operator.mul, commutative=True),
+    OpSpec("div", 1, 2, kernel=_sdiv),
+    OpSpec("rem", 1, 2, kernel=_srem),
+    OpSpec("and", 1, 2, kernel=operator.and_, commutative=True),
+    OpSpec("or", 1, 2, kernel=operator.or_, commutative=True),
+    OpSpec("xor", 1, 2, kernel=operator.xor, commutative=True),
+    OpSpec("shl", 1, 2, kernel=_shl),
+    OpSpec("shr", 1, 2, kernel=_shr),
+    OpSpec("min", 1, 2, kernel=min, commutative=True),
+    OpSpec("max", 1, 2, kernel=max, commutative=True),
+    OpSpec("neg", 1, 1, kernel=operator.neg),
+    OpSpec("not", 1, 1, kernel=operator.invert),
     # Comparisons produce 0/1.
-    OpSpec("cmpeq", 1, 2, evaluate=_binop(lambda a, b: int(a == b)),
+    OpSpec("cmpeq", 1, 2, kernel=operator.eq, predicate=True,
            commutative=True),
-    OpSpec("cmpne", 1, 2, evaluate=_binop(lambda a, b: int(a != b)),
+    OpSpec("cmpne", 1, 2, kernel=operator.ne, predicate=True,
            commutative=True),
-    OpSpec("cmplt", 1, 2, evaluate=_binop(lambda a, b: int(a < b))),
-    OpSpec("cmple", 1, 2, evaluate=_binop(lambda a, b: int(a <= b))),
-    OpSpec("cmpgt", 1, 2, evaluate=_binop(lambda a, b: int(a > b))),
-    OpSpec("cmpge", 1, 2, evaluate=_binop(lambda a, b: int(a >= b))),
-    OpSpec("select", 1, 3,
-           evaluate=lambda c, a, b: (wrap32(a if c else b),)),
+    OpSpec("cmplt", 1, 2, kernel=operator.lt, predicate=True),
+    OpSpec("cmple", 1, 2, kernel=operator.le, predicate=True),
+    OpSpec("cmpgt", 1, 2, kernel=operator.gt, predicate=True),
+    OpSpec("cmpge", 1, 2, kernel=operator.ge, predicate=True),
+    OpSpec("select", 1, 3, kernel=lambda c, a, b: a if c else b),
     # ST120-style 2-operand (destructive) instructions: the destination is
     # tied to the first source (paper Figure 1, S1 and S6).
-    OpSpec("autoadd", 1, 2, evaluate=_binop(lambda a, b: a + b),
+    OpSpec("autoadd", 1, 2, kernel=operator.add, tied=((0, 0),)),
+    OpSpec("more", 1, 2, kernel=lambda a, b: (a << 16) | (b & 0xFFFF),
            tied=((0, 0),)),
-    OpSpec("more", 1, 2, evaluate=_binop(lambda a, b: (a << 16) | (b & 0xFFFF)),
-           tied=((0, 0),)),
-    OpSpec("mac", 1, 3, evaluate=lambda acc, a, b: (wrap32(acc + a * b),),
+    OpSpec("mac", 1, 3, kernel=lambda acc, a, b: acc + a * b,
            tied=((0, 0),)),
     # Memory.  ``load d, p`` / ``store p, v``; addresses are plain ints.
     OpSpec("load", 1, 1, has_side_effects=False),
@@ -209,7 +226,7 @@ for _spec in [
     # the stack write ``readsp $SP`` first; SSA construction then renames
     # SP like any variable and ``pinningSP`` re-pins the web to SP
     # (the paper always runs pinningSP, section 5).
-    OpSpec("readsp", 1, 0, evaluate=lambda: (0x7FF00000,),
+    OpSpec("readsp", 1, 0, kernel=lambda: 0x7FF00000,
            has_side_effects=True),
     # SSA constructs.
     OpSpec("phi", 1, None),
@@ -364,8 +381,9 @@ class Instruction:
     # ------------------------------------------------------------------
     # Pickling (the parallel driver ships transformed functions back to
     # the parent process).  ``spec`` must not cross the pipe: OpSpec
-    # carries ``evaluate`` lambdas, which do not pickle -- rebuild the
-    # precomputed predicates from the opcode on the receiving side.
+    # carries ``kernel``/``evaluate`` lambdas, which do not pickle --
+    # rebuild the precomputed predicates from the opcode on the
+    # receiving side.
     def __getstate__(self):
         return (self.opcode, self.defs, self.uses, self.attrs, self.uid)
 
