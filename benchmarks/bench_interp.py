@@ -21,13 +21,10 @@ claim in the CI ``bench-smoke`` job:
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_interp.py \
-        [--rounds 5] [--gate 4.5] [--update BENCH_interp.json] \
-        [--ledger FILE]
+        [--rounds 5] [--gate 4.5] [--update BENCH_interp.json]
 
-``--update`` rewrites ``BENCH_interp.json`` with the measurements;
-``--ledger`` appends one ``suite="interp:<name>"`` row per workload to
-the run ledger so ``repro perf trend`` shows the interpreter
-trajectory alongside compile-time and serve rows.
+``--update`` rewrites ``BENCH_interp.json`` with the measurements,
+stamped with the git revision they were taken at.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -77,8 +75,8 @@ def check_lockstep(corpus: list) -> tuple[int, str]:
     """Run every verify pair under ``tier="both"`` (raises
     :class:`repro.interp.TierDivergence` on any observable or
     step-count mismatch).  Returns the total step count and a content
-    digest over the observables, so the ledger can flag a same-revision
-    behaviour change the way compile rows flag a stats change."""
+    digest over the observables: two ``BENCH_interp.json`` rows with
+    different digests ran different interpreter behaviour."""
     from repro.interp import run_module
 
     steps = 0
@@ -147,41 +145,16 @@ def aggregate(rows: list[dict]) -> dict:
             "speedup": round(reference_s / compiled_s, 2)}
 
 
-def ledger_records(document: dict) -> list[dict]:
-    """BENCH_interp.json -> run-ledger records (``suite="interp:<name>"``
-    so interpreter rows never collide with compile-time or serve rows
-    under the ``(suite, experiment, options_fp)`` comparison key).
-    ``wall_s`` is the warm compiled time; the digest over run
-    observables plays the role compile rows give ``stats_digest`` --
-    same revision, different digest means interpreter behaviour
-    changed, which no timing threshold excuses."""
-    from repro.cache.key import (code_version, options_fingerprint,
-                                 target_fingerprint)
-    from repro.machine.st120 import ST120
-    from repro.observability.ledger import LEDGER_SCHEMA, git_rev
-
-    records = []
-    for row in document.get("rows", []):
-        records.append({
-            "schema": LEDGER_SCHEMA,
-            "ts": document.get("ts") or round(time.time(), 3),
-            "rev": document.get("rev") or git_rev(),
-            "suite": f"interp:{row['suite']}",
-            "experiment": "verify",
-            "phases": [],
-            "options_fp": options_fingerprint(None),
-            "target_fp": target_fingerprint(ST120),
-            "code_version": document.get("code_version") or code_version(),
-            "stats_digest": row["digest"],
-            "totals": {"moves": 0, "weighted": 0,
-                       "instructions": row["steps"]},
-            "timing": {"wall_s": row["compiled_s"]},
-            "jobs": 1,
-            "interp": {key: row[key]
-                       for key in ("reference_s", "compiled_s", "compile_s",
-                                   "speedup", "runs", "steps")},
-        })
-    return records
+def git_rev() -> str:
+    """The short git revision of the working directory, or
+    ``"unknown"`` outside a repository."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"],
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    rev = proc.stdout.strip()
+    return rev if proc.returncode == 0 and rev else "unknown"
 
 
 def main(argv=None) -> int:
@@ -192,8 +165,6 @@ def main(argv=None) -> int:
                              "speedup (0 disables)")
     parser.add_argument("--update", metavar="BENCH_JSON", default=None,
                         help="rewrite this file with the measurements")
-    parser.add_argument("--ledger", metavar="FILE", default=None,
-                        help="append interp:<suite> rows to this run ledger")
     args = parser.parse_args(argv)
 
     rows = measure(args.rounds)
@@ -202,7 +173,6 @@ def main(argv=None) -> int:
           f"compiled {total['compiled_s']:.4f}s  ({total['speedup']:.2f}x)")
 
     from repro.cache.key import code_version
-    from repro.observability.ledger import RunLedger, git_rev
     document = {
         "schema": BENCH_SCHEMA,
         "ts": round(time.time(), 3),
@@ -221,11 +191,6 @@ def main(argv=None) -> int:
             json.dump(document, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.update}")
-    if args.ledger:
-        ledger = RunLedger(args.ledger)
-        for record in ledger_records(document):
-            ledger.append(record)
-        print(f"appended {len(document['rows'])} records to {args.ledger}")
 
     if args.gate and total["speedup"] < args.gate:
         print(f"FAIL: aggregate compiled speedup {total['speedup']}x "

@@ -15,10 +15,10 @@ a cache-hot against a cache-cold run (see docs/caching.md).
 
 The stripping rules themselves live in
 :mod:`repro.observability.statdiff` -- one implementation shared with
-the run ledger's ``stats_digest`` and ``repro perf diff``, so what
-this gate compares and what the ledger fingerprints can never drift
-apart.  Exit status 0 means equal, 1 means a real divergence, 2 means
-usage/IO error.
+``stats_digest``, the digest ``repro serve`` returns per response, so
+what this gate compares and what the digest fingerprints can never
+drift apart.  Exit status 0 means equal, 1 means a real divergence, 2
+means usage/IO error.
 """
 
 import json

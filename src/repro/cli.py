@@ -18,19 +18,13 @@ Usage (also via ``python -m repro``):
     repro serve --socket /tmp/repro.sock \\
                 --jobs 4                   # warm compile service
                                            # (see docs/serving.md)
-    repro perf record --ledger runs.jsonl  # benchmark into the ledger
-    repro perf diff -2 -1                  # compare two ledger entries
-    repro perf trend --suite SPECint       # per-suite trajectory
-    repro perf export --prometheus         # text exposition of latest
 
 The compiler prints the transformed module to stdout (or ``-o FILE``)
 plus a statistics footer on stderr, so output can be piped or diffed.
 ``--trace`` writes a Chrome ``trace_event`` file for ``chrome://tracing``
 and ``--stats-json`` a ``repro.stats/v1`` document; ``--metrics``
 enables the counter/gauge/histogram registry (embedded in the stats
-document) and ``--ledger FILE`` appends one JSONL record per run to
-the persistent run ledger behind ``repro perf`` (see
-docs/observability.md).
+document; see docs/observability.md).
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Optional, Sequence
 
 from .interp import InterpreterError, run_module
@@ -48,7 +41,6 @@ from .lai import LaiSyntaxError, parse_module
 from .observability import (COLLECTION_SCHEMA, MetricsRegistry, Tracer,
                             pass_profile, phase_table, summary,
                             write_chrome_trace)
-from .observability.ledger import make_record, resolve_ledger
 from .observability.metrics import METRICS_ENV
 from .pipeline import (EXPERIMENTS, PhaseOptions, run_experiment,
                        run_experiments, run_table, table5_variants)
@@ -94,26 +86,6 @@ def _wants_metrics(args) -> bool:
                 or os.environ.get(METRICS_ENV))
 
 
-def _breakdown_wall(result) -> Optional[float]:
-    """Total per-phase wall time (a traced run's compile time), or
-    ``None`` for untraced runs."""
-    if not result.phase_breakdown:
-        return None
-    total_ns = sum(entry["duration_ns"] for entry in result.phase_breakdown)
-    return round(total_ns / 1e9, 6)
-
-
-def _append_ledger(ledger, result, *, suite, options, jobs, wall_s,
-                   extra: Optional[dict] = None) -> None:
-    """Build and append one ledger record (parent process only -- the
-    single-writer contract of :mod:`repro.observability.ledger`)."""
-    record = make_record(result, suite=suite, options=options, jobs=jobs,
-                         wall_s=wall_s, metrics=result.metrics or None)
-    if extra:
-        record.update(extra)
-    ledger.append(record)
-
-
 def cmd_compile(args) -> int:
     module = _load(args.file)
     verify = None
@@ -140,21 +112,14 @@ def cmd_compile(args) -> int:
 
     tracer = _tracer_for(args)
     metrics = MetricsRegistry() if _wants_metrics(args) else None
-    start = time.perf_counter()
     result = run_experiment(module, args.experiment,
                             options=_options(args), verify=verify,
                             tracer=tracer, jobs=args.jobs,
                             cache=args.cache_dir, metrics=metrics)
-    wall_s = round(time.perf_counter() - start, 6)
     if args.trace:
         write_chrome_trace(tracer, args.trace)
     if args.stats_json:
         _write_json(args.stats_json, result.to_stats())
-    ledger = resolve_ledger(args.ledger)
-    if ledger is not None:
-        _append_ledger(ledger, result, suite=args.file,
-                       options=_options(args), jobs=args.jobs,
-                       wall_s=wall_s)
     text = format_module(result.module)
     if args.output:
         with open(args.output, "w") as handle:
@@ -195,11 +160,6 @@ def cmd_experiments(args) -> int:
     results = run_experiments(
         module, tracer=Tracer, jobs=args.jobs, cache=args.cache_dir,
         metrics=MetricsRegistry if _wants_metrics(args) else None)
-    ledger = resolve_ledger(args.ledger)
-    if ledger is not None:
-        for result in results:
-            _append_ledger(ledger, result, suite=args.file, options=None,
-                           jobs=args.jobs, wall_s=_breakdown_wall(result))
     if args.stats_json:
         _write_json(args.stats_json,
                     {"schema": COLLECTION_SCHEMA,
@@ -225,8 +185,6 @@ def cmd_tables(args) -> int:
     from .pipeline import TABLE_EXPERIMENTS
 
     suites = all_suites()
-    ledger = resolve_ledger(args.ledger)
-    traced = bool(args.stats_json or ledger is not None)
     runs = []
     with shared_pool(args.jobs) as pool:
         for table, experiments in TABLE_EXPERIMENTS.items():
@@ -237,7 +195,7 @@ def cmd_tables(args) -> int:
             for suite in suites:
                 results = run_table(
                     suite.module, table,
-                    tracer=Tracer if traced else None,
+                    tracer=Tracer if args.stats_json else None,
                     jobs=args.jobs, cache=args.cache_dir, pool=pool,
                     metrics=MetricsRegistry if _wants_metrics(args)
                     else None)
@@ -251,11 +209,6 @@ def cmd_tables(args) -> int:
                         document["table"] = table
                         document["suite"] = suite.name
                         runs.append(document)
-                    if ledger is not None:
-                        _append_ledger(ledger, result, suite=suite.name,
-                                       options=None, jobs=args.jobs,
-                                       wall_s=_breakdown_wall(result),
-                                       extra={"table": table})
                 print(suite.name.ljust(13) + "".join(cells))
     if args.stats_json:
         _write_json(args.stats_json,
@@ -274,7 +227,6 @@ def cmd_serve(args) -> int:
     server = CompileServer(socket_path=args.socket,
                            http_port=args.http_port,
                            jobs=args.jobs, cache=args.cache_dir,
-                           ledger=args.ledger,
                            batch_window=args.batch_window)
     def banner() -> None:
         # Runs after start(): an ``--http 0`` port is resolved by now.
@@ -289,150 +241,6 @@ def cmd_serve(args) -> int:
     import asyncio
 
     asyncio.run(server.run(ready=banner))
-    return 0
-
-
-def cmd_perf(args) -> int:
-    from .observability.ledger import (diff_entries, export_prometheus,
-                                       select_entries, trend_rows)
-
-    ledger = resolve_ledger(args.ledger)
-    if args.perf_command == "record":
-        return _perf_record(args, ledger)
-    if ledger is None and args.perf_command != "diff":
-        raise SystemExit("error: no ledger (pass --ledger FILE or set "
-                         "$REPRO_LEDGER)")
-
-    if args.perf_command == "list":
-        entries = ledger.entries()
-        if ledger.skipped:
-            print(f"warning: skipped {ledger.skipped} malformed line(s)",
-                  file=sys.stderr)
-        print(f"{'#':>4}  {'when':<19} {'rev':<12} {'suite':<12} "
-              f"{'experiment':<14}{'wall_s':>10}{'moves':>8}")
-        for i, record in enumerate(entries):
-            when = time.strftime("%Y-%m-%d %H:%M:%S",
-                                 time.localtime(record["ts"]))
-            wall = record["timing"].get("wall_s")
-            print(f"{i:>4}  {when:<19} {record['rev']:<12} "
-                  f"{(record.get('suite') or '-'):<12} "
-                  f"{record['experiment']:<14}"
-                  f"{wall if wall is not None else '-':>10}"
-                  f"{record['totals']['moves']:>8}")
-        return 0
-
-    if args.perf_command == "diff":
-        old = select_entries(ledger, args.old)
-        new = select_entries(ledger, args.new)
-        findings = diff_entries(old, new, threshold=args.threshold)
-        if not findings:
-            print("no comparable entries (no shared suite/experiment/"
-                  "options key)")
-            return 0
-        regressions = 0
-        print(f"{'suite':<12} {'experiment':<14}{'old_s':>10}{'new_s':>10}"
-              f"{'ratio':>8}  verdict")
-        for f in findings:
-            if f["regression"]:
-                regressions += 1
-                verdict = ("CONTENT DIVERGED" if f["kind"] == "content"
-                           else "REGRESSION")
-            else:
-                verdict = "ok"
-            print(f"{(f['suite'] or '-'):<12} {f['experiment']:<14}"
-                  f"{f['old_s']:>10}{f['new_s']:>10}{f['ratio']:>8}"
-                  f"  {verdict}")
-        print(f"{len(findings)} compared, {regressions} regression(s) "
-              f"at threshold {args.threshold:.0%}")
-        return 1 if regressions else 0
-
-    if args.perf_command == "trend":
-        rows = trend_rows(ledger.entries(), suite=args.suite)
-        print("| suite | experiment | rev | wall_s | moves | rps "
-              "| speedup |")
-        print("|---|---|---|---:|---:|---:|---:|")
-        for row in rows:
-            speedup = f"{row['speedup']:.3f}x" if row["speedup"] else "-"
-            rps = row["rps"] if row.get("rps") is not None else "-"
-            print(f"| {row['suite'] or '-'} | {row['experiment']} "
-                  f"| {row['rev']} | {row['wall_s']} | {row['moves']} "
-                  f"| {rps} | {speedup} |")
-        return 0
-
-    if args.perf_command == "export":
-        sys.stdout.write(export_prometheus(ledger.entries()))
-        return 0
-    raise SystemExit(f"error: unknown perf command {args.perf_command!r}")
-
-
-def _perf_record(args, ledger) -> int:
-    """Benchmark the requested suites/experiments and append one
-    min-time record each (the noise-robust statistic ``repro perf
-    diff`` compares).  Runs untraced so the stats digest matches other
-    untraced runs of the same revision."""
-    from .benchgen import all_suites
-    from .observability.ledger import git_rev
-
-    if ledger is None:
-        raise SystemExit("error: no ledger (pass --ledger FILE or set "
-                         "$REPRO_LEDGER)")
-    if args.serve_json:
-        # Ingest a bench_serve.py result document instead of running
-        # compile benchmarks: one serve:<suite> throughput row each.
-        from .serve.bench import serve_records
-
-        try:
-            with open(args.serve_json) as handle:
-                document = json.load(handle)
-        except (OSError, ValueError) as error:
-            raise SystemExit(
-                f"error: cannot read {args.serve_json}: {error}")
-        records = serve_records(document)
-        for record in records:
-            ledger.append(record)
-            serve = record["serve"]
-            print(f"recorded {record['suite']}/{record['experiment']}: "
-                  f"p50 {serve['p50_s']}s rps {serve['rps']} "
-                  f"at {record['rev']}")
-        if not records:
-            print(f"warning: {args.serve_json} has no rows",
-                  file=sys.stderr)
-        return 0
-    suites = all_suites()
-    if args.suite:
-        wanted = set(args.suite)
-        unknown = wanted - {s.name for s in suites}
-        if unknown:
-            raise SystemExit(f"error: unknown suite(s) "
-                             f"{sorted(unknown)} (have "
-                             f"{sorted(s.name for s in suites)})")
-        suites = [s for s in suites if s.name in wanted]
-    experiments = args.experiment or ["Lphi,ABI+C"]
-    rev = git_rev()
-    for suite in suites:
-        for name in experiments:
-            samples = []
-            result = None
-            metrics = None
-            for round_index in range(max(1, args.rounds)):
-                if args.metrics:
-                    metrics = MetricsRegistry()
-                start = time.perf_counter()
-                result = run_experiment(suite.module, name,
-                                        jobs=args.jobs,
-                                        cache=args.cache_dir,
-                                        metrics=metrics)
-                samples.append(time.perf_counter() - start)
-            record = make_record(result, suite=suite.name,
-                                 jobs=args.jobs,
-                                 wall_s=round(min(samples), 6),
-                                 samples=samples,
-                                 metrics=result.metrics or None,
-                                 rev=rev)
-            ledger.append(record)
-            print(f"recorded {suite.name}/{name}: "
-                  f"min {min(samples):.4f}s over {len(samples)} "
-                  f"round(s) at {rev}")
     return 0
 
 
@@ -584,12 +392,6 @@ def cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-def _add_ledger(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ledger", default=None, metavar="FILE",
-                        help="append-only JSONL run ledger (default "
-                             "$REPRO_LEDGER, unset = no ledger)")
-
-
 def _add_interp(parser: argparse.ArgumentParser) -> None:
     from .interp import TIERS
 
@@ -611,13 +413,17 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
                              "unset = no caching; output is identical "
                              "cache-hot and cache-cold; "
                              "$REPRO_CACHE_LIMIT caps the size in bytes)")
+    _add_interp(parser)
+
+
+def _add_metrics(parser: argparse.ArgumentParser) -> None:
+    # Not on ``serve``: the server always meters, live via its
+    # ``metrics`` op.
     parser.add_argument("--metrics", action="store_true",
                         help="record counters/gauges/latency histograms "
                              "into the stats document's 'metrics' block "
                              "(also enabled by a non-empty "
                              "$REPRO_METRICS; zero overhead when off)")
-    _add_interp(parser)
-    _add_ledger(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -656,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(span duration minus nested spans, "
                                 "aggregated by pass name) to stderr")
     _add_jobs(compile_p)
+    _add_metrics(compile_p)
     compile_p.set_defaults(fn=cmd_compile)
 
     run_p = sub.add_parser("run", help="interpret a function")
@@ -678,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--stats-json", metavar="FILE",
                        help="also write the stats collection here")
     _add_jobs(exp_p)
+    _add_metrics(exp_p)
     exp_p.set_defaults(fn=cmd_experiments)
 
     tables_p = sub.add_parser(
@@ -688,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write every run's stats as a "
                                "repro.stats-collection/v1 JSON document")
     _add_jobs(tables_p)
+    _add_metrics(tables_p)
     tables_p.set_defaults(fn=cmd_tables)
 
     serve_p = sub.add_parser(
@@ -710,65 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "queued)")
     _add_jobs(serve_p)
     serve_p.set_defaults(fn=cmd_serve)
-
-    perf_p = sub.add_parser(
-        "perf", help="record, compare and export run-ledger telemetry")
-    perf_sub = perf_p.add_subparsers(dest="perf_command", required=True)
-
-    record_p = perf_sub.add_parser(
-        "record", help="benchmark suites into the ledger (min-time "
-                       "over --rounds)")
-    record_p.add_argument("--suite", action="append", metavar="NAME",
-                          help="suite to benchmark (repeatable; default "
-                               "all simulated suites)")
-    record_p.add_argument("-e", "--experiment", action="append",
-                          choices=sorted(EXPERIMENTS), metavar="EXP",
-                          help="pipeline to benchmark (repeatable; "
-                               "default Lphi,ABI+C)")
-    record_p.add_argument("--rounds", type=int, default=3, metavar="N",
-                          help="timing rounds per record (default 3; "
-                               "the min is recorded)")
-    record_p.add_argument("--serve-json", default=None, metavar="FILE",
-                          help="ingest a benchmarks/bench_serve.py "
-                               "result document (BENCH_serve.json) as "
-                               "serve:<suite> throughput rows instead "
-                               "of running compile benchmarks")
-    _add_jobs(record_p)
-    record_p.set_defaults(fn=cmd_perf)
-
-    list_p = perf_sub.add_parser("list", help="print the ledger entries")
-    _add_ledger(list_p)
-    list_p.set_defaults(fn=cmd_perf)
-
-    diff_p = perf_sub.add_parser(
-        "diff", help="noise-aware min-time comparison of two entry "
-                     "selections (exit 1 on regression)")
-    diff_p.add_argument("old", help="ledger file, entry index (-1 = "
-                                    "latest) or rev:<prefix>")
-    diff_p.add_argument("new", help="same selector forms as OLD")
-    diff_p.add_argument("--threshold", type=float, default=0.25,
-                        metavar="F",
-                        help="relative slowdown tolerated before a "
-                             "timing regression is flagged "
-                             "(default 0.25 = 25%%)")
-    _add_ledger(diff_p)
-    diff_p.set_defaults(fn=cmd_perf)
-
-    trend_p = perf_sub.add_parser(
-        "trend", help="markdown trajectory table of recorded wall times")
-    trend_p.add_argument("--suite", default=None, metavar="NAME",
-                         help="restrict to one suite")
-    _add_ledger(trend_p)
-    trend_p.set_defaults(fn=cmd_perf)
-
-    export_p = perf_sub.add_parser(
-        "export", help="Prometheus text exposition of the latest "
-                       "entry per suite/experiment")
-    export_p.add_argument("--prometheus", action="store_true",
-                          help="emit Prometheus text format (the only "
-                               "format; flag kept for clarity)")
-    _add_ledger(export_p)
-    export_p.set_defaults(fn=cmd_perf)
 
     fuzz_p = sub.add_parser(
         "fuzz", help="differential fuzzing of the out-of-SSA pipelines "

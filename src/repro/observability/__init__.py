@@ -15,9 +15,6 @@ Public surface:
   counter/gauge/latency-histogram registry with deterministic
   snapshots, cross-worker merge and Prometheus text exposition (see
   :mod:`.metrics`);
-* ledger -- :class:`RunLedger` / :func:`resolve_ledger`, the
-  append-only JSONL run ledger behind ``repro perf`` (see
-  :mod:`.ledger`);
 * statdiff -- :func:`strip_timing` / :func:`stats_digest`, the shared
   timing-stripping rules (see :mod:`.statdiff`).
 
@@ -31,11 +28,8 @@ optional ``tracer`` keyword defaulting to ``None`` == :data:`NULL_TRACER`;
 from .exporters import (chrome_trace_events, chrome_trace_json, jsonable,
                         pass_profile, pass_self_times, phase_table,
                         summary, write_chrome_trace)
-from .ledger import (LEDGER_ENV, LEDGER_SCHEMA, RunLedger, make_record,
-                     resolve_ledger)
 from .metrics import (BUCKET_BOUNDS, NULL_METRICS, MetricsRegistry,
-                      NullMetrics, merge_snapshots, parse_prometheus_text,
-                      prometheus_text, resolve_metrics)
+                      NullMetrics, prometheus_text, resolve_metrics)
 from .schema import (COLLECTION_SCHEMA, DELTA_KEYS, SNAPSHOT_KEYS,
                      STATS_SCHEMA, SchemaError, validate_stats,
                      validate_stats_file)
@@ -47,10 +41,7 @@ __all__ = [
     "NULL_TRACER", "NullTracer", "Tracer", "SpanRecord", "EventRecord",
     "resolve",
     "NULL_METRICS", "NullMetrics", "MetricsRegistry", "BUCKET_BOUNDS",
-    "resolve_metrics", "merge_snapshots", "prometheus_text",
-    "parse_prometheus_text",
-    "RunLedger", "resolve_ledger", "make_record", "LEDGER_SCHEMA",
-    "LEDGER_ENV",
+    "resolve_metrics", "prometheus_text",
     "strip_timing", "first_difference", "stats_digest",
     "chrome_trace_events", "chrome_trace_json", "write_chrome_trace",
     "summary", "phase_table", "pass_profile", "pass_self_times",

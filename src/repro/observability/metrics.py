@@ -4,8 +4,8 @@ The tracer (:mod:`.tracer`) answers "what happened inside *this* run";
 the registry answers the service-shaped question "how is the compiler
 behaving *over* runs" -- the per-function compile-time distribution,
 per-phase self time, cache probe/store latency and interference-oracle
-query traffic that a live metrics endpoint or the run ledger
-(:mod:`.ledger`) wants to expose.  Three instrument kinds:
+query traffic that a live metrics endpoint wants to expose.  Three
+instrument kinds:
 
 * **counters** -- named monotone totals (``registry.counter(
   "cache.hits").inc()``);
@@ -37,11 +37,8 @@ argument construction behind ``if metrics.enabled``.
 
 Prometheus text exposition (:func:`prometheus_text`) renders a
 snapshot in the classic ``# TYPE`` / sample-line format --
-``repro_phase_seconds_bucket{phase="ssa",le="0.000512"} 3`` -- and
-:func:`parse_prometheus_text` parses it back; rendering a parsed
-exposition reproduces the text byte-for-byte (the round-trip CI
-test), which is what makes the format safe to serve from a future
-``repro serve`` endpoint.
+``repro_phase_seconds_bucket{phase="ssa",le="0.000512"} 3`` -- and is
+what the ``repro serve`` ``metrics`` op and ``GET /metrics`` return.
 """
 
 from __future__ import annotations
@@ -321,17 +318,6 @@ class MetricsRegistry:
         return prometheus_text(self.snapshot())
 
 
-def merge_snapshots(snapshots) -> dict:
-    """Merge many :meth:`MetricsRegistry.snapshot` documents into one
-    (the parent-side half of the cross-worker merge); ``None`` and
-    empty entries are skipped."""
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        if snapshot:
-            merged.merge(snapshot)
-    return merged.snapshot()
-
-
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------
@@ -392,77 +378,4 @@ def prometheus_text(snapshot: dict) -> str:
         lines.append(f"{name}_sum{_prom_labels(labels)} "
                      f"{_prom_value(float(doc['sum']))}")
         lines.append(f"{name}_count{_prom_labels(labels)} {doc['count']}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def parse_prometheus_text(text: str) -> dict:
-    """Parse a :func:`prometheus_text` exposition back into
-    ``{metric name: {"type": kind, "samples": [(labels, value), ...]}}``
-    (labels as a sorted tuple of pairs).  Raises :class:`ValueError` on
-    malformed lines -- the round-trip test feeds the output of
-    :func:`render_prometheus` back through here."""
-    families: dict[str, dict] = {}
-    types: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            types[name] = kind
-            families.setdefault(name, {"type": kind, "samples": []})
-            continue
-        if line.startswith("#"):
-            continue
-        head, _, value_text = line.rpartition(" ")
-        if not head:
-            raise ValueError(f"line {lineno}: malformed sample {line!r}")
-        labels: dict[str, str] = {}
-        if head.endswith("}"):
-            name, _, inner = head[:-1].partition("{")
-            if not inner and "{" not in head:
-                raise ValueError(f"line {lineno}: bad labels in {line!r}")
-            # Split on closing-quote-comma boundaries so quoted values
-            # may themselves contain commas (``experiment="Lphi,ABI+C"``).
-            segments = inner.split('",') if inner else []
-            pairs = [s + '"' for s in segments[:-1]] + segments[-1:]
-            for pair in pairs:
-                if not pair:
-                    continue
-                label, _, raw = pair.partition("=")
-                if not (raw.startswith('"') and raw.endswith('"')):
-                    raise ValueError(
-                        f"line {lineno}: unquoted label value {pair!r}")
-                labels[label] = raw[1:-1]
-        else:
-            name = head
-        if value_text == "+Inf":
-            value: float = float("inf")
-        else:
-            value = float(value_text) if ("." in value_text
-                                          or "e" in value_text
-                                          or "inf" in value_text.lower()) \
-                else int(value_text)
-        family = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            base = name[:-len(suffix)] if name.endswith(suffix) else None
-            if base is not None and types.get(base) == "histogram":
-                family = base
-                break
-        entry = families.setdefault(
-            family, {"type": types.get(family, "untyped"), "samples": []})
-        entry["samples"].append(
-            (name, tuple(sorted(labels.items())), value))
-    return families
-
-
-def render_prometheus(families: dict) -> str:
-    """Re-render :func:`parse_prometheus_text` output; rendering a
-    parse of :func:`prometheus_text` reproduces the text exactly."""
-    lines: list[str] = []
-    for family, entry in families.items():
-        lines.append(f"# TYPE {family} {entry['type']}")
-        for name, labels, value in entry["samples"]:
-            lines.append(
-                f"{name}{_prom_labels(dict(labels))} {_prom_value(value)}")
     return "\n".join(lines) + "\n" if lines else ""

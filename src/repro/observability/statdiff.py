@@ -18,12 +18,11 @@ be compared for the promises that *do* hold:
   measurements and several of its counters mirror cache traffic;
 * per-phase ``seq`` / ``start_ns`` / ``duration_ns``.
 
-Three consumers share these rules: ``benchmarks/diff_stats.py`` (the
-CI serial-vs-parallel and cold-vs-warm gates), the run ledger
-(:mod:`.ledger`), whose ``stats_digest`` is a SHA-256 over the
-stripped document so two runs of the same revision carry the same
-digest, and ``repro perf diff``, which flags a digest mismatch between
-same-revision ledger entries as a content divergence.
+Two consumers share these rules: ``benchmarks/diff_stats.py`` (the
+CI serial-vs-parallel and cold-vs-warm gates) and :func:`stats_digest`,
+a SHA-256 over the stripped document that ``repro serve`` returns with
+every compile response, so two runs of the same code on the same input
+carry the same digest.
 """
 
 from __future__ import annotations

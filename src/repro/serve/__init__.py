@@ -14,12 +14,10 @@ keeps all of that hot in a long-running process:
   request's functions) and merges the results back per request,
   byte-identical to the serial CLI path;
 * :mod:`.server` -- the asyncio server (unix socket, optional
-  localhost HTTP) with live ``stats``/``metrics`` endpoints, graceful
-  drain on SIGTERM/SIGINT and a final ledger record;
+  localhost HTTP) with live ``stats``/``metrics`` endpoints and
+  graceful drain on SIGTERM/SIGINT;
 * :mod:`.client` -- a small blocking client for tests, benchmarks and
-  scripting;
-* :mod:`.bench` -- the closed-loop load generator behind
-  ``benchmarks/bench_serve.py`` and ``BENCH_serve.json``.
+  scripting.
 
 See ``docs/serving.md`` for the protocol and deployment knobs.
 """

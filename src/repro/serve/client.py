@@ -3,8 +3,7 @@
 One :class:`ServeClient` holds one connection and speaks NDJSON
 (:mod:`.protocol`): requests on a connection are answered in order, so
 a client instance is safe for one thread; concurrency (and therefore
-server-side batching) comes from one client per thread, which is
-exactly how :mod:`.bench` and the CI smoke test drive load.
+server-side batching) comes from one client per thread.
 """
 
 from __future__ import annotations

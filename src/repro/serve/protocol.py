@@ -53,7 +53,7 @@ from ..machine.st120 import ST120
 from ..machine.target import Target
 from ..pipeline import EXPERIMENTS, PhaseOptions, table5_variants
 
-#: Version tag carried by ``stats`` documents and bench records.
+#: Version tag carried by ``stats`` and ``ping`` responses.
 SERVE_SCHEMA = "repro.serve/v1"
 
 #: Maximum request line (bytes) either transport accepts -- generous

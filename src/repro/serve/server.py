@@ -19,8 +19,8 @@ Everything observable is live: ``stats`` reports queue depth, pool
 health, dedup and latency percentiles; ``metrics`` serves the
 Prometheus exposition of the server's own
 :class:`~repro.observability.MetricsRegistry`.  SIGTERM/SIGINT (or the
-``shutdown`` op) drains in-flight requests, closes the pool, appends a
-final lifetime record to the run ledger and exits.
+``shutdown`` op) drains in-flight requests, closes the pool and
+exits.
 
 Concurrency discipline: the event loop owns the metrics registry and
 all bookkeeping; the single-threaded batch executor only runs
@@ -47,11 +47,8 @@ from typing import Optional
 
 from ..analysis.manager import AnalysisManager
 from ..cache import resolve_cache
-from ..ir.function import Module
 from ..machine.st120 import ST120
 from ..machine.target import Target
-from ..observability.ledger import make_record, resolve_ledger
-from ..pipeline import ExperimentResult
 from ..observability.metrics import COUNT_BOUNDS, MetricsRegistry
 from ..parallel import WorkerPool, fork_available, resolve_jobs
 from .batcher import ServeJob, run_batch
@@ -77,7 +74,7 @@ class CompileServer:
                  http_port: Optional[int] = None,
                  http_host: str = "127.0.0.1",
                  jobs: Optional[int] = None,
-                 cache=None, ledger=None,
+                 cache=None,
                  batch_window: float = 0.0,
                  target: Target = ST120,
                  validate: bool = True,
@@ -101,7 +98,6 @@ class CompileServer:
             # lives and dies with the server process.
             self._cache_tempdir = tempfile.mkdtemp(prefix="repro-serve-")
             self.cache = resolve_cache(self._cache_tempdir)
-        self.ledger = resolve_ledger(ledger)
         self.metrics = MetricsRegistry()
         #: Serial-path lifetime analysis manager (flushed after every
         #: request).
@@ -169,8 +165,8 @@ class CompileServer:
 
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish every queued and
-        in-flight request, close the pool, flush the final ledger
-        record."""
+        in-flight request, close the pool, remove the socket and the
+        private cache directory."""
         if self._draining:
             return
         self._draining = True
@@ -190,23 +186,12 @@ class CompileServer:
         if self.pool is not None:
             await self._loop.run_in_executor(None, self.pool.close)
         self._executor.shutdown(wait=True)
-        self._final_ledger_record()
         if self.socket_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
         if self._cache_tempdir is not None:
             shutil.rmtree(self._cache_tempdir, ignore_errors=True)
         self._stopped.set()
-
-    def _final_ledger_record(self) -> None:
-        if self.ledger is None:
-            return
-        result = ExperimentResult(name="serve", module=Module("serve"))
-        record = make_record(result, suite="serve", jobs=self.jobs,
-                             wall_s=None,
-                             metrics=self.metrics.snapshot())
-        record["serve"] = self._lifetime_stats()
-        self.ledger.append(record)
 
     def _lifetime_stats(self) -> dict:
         latency = self.metrics.histogram("serve.request_seconds")
@@ -463,7 +448,7 @@ class CompileServer:
 
 class ThreadedServer:
     """Run a :class:`CompileServer` on a background thread -- the test
-    and benchmark harness (`with ThreadedServer(server) as handle:`).
+    harness (`with ThreadedServer(server) as handle:`).
     ``stop()`` performs the same graceful drain as SIGTERM."""
 
     def __init__(self, server: CompileServer) -> None:
@@ -511,9 +496,3 @@ class ThreadedServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def serve_forever(**kwargs) -> None:
-    """Blocking convenience entry used by the CLI."""
-    server = CompileServer(**kwargs)
-    asyncio.run(server.run())

@@ -244,3 +244,26 @@ class TestExperimentsObservability:
                   "--stats-json", str(stats)])
         assert stats.exists()
         validate_stats_file(str(stats))
+
+
+class TestRejectedOptions:
+    def test_serve_rejects_metrics(self, capsys):
+        # The server always meters (its ``metrics`` op); a ``--metrics``
+        # flag on ``serve`` would be a silent no-op.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--socket", "unused.sock", "--metrics"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --metrics" in capsys.readouterr().err
+
+    def test_compile_still_accepts_metrics(self, lai_file, tmp_path,
+                                           capsys):
+        stats = tmp_path / "s.json"
+        assert main(["compile", lai_file, "--metrics",
+                     "--stats-json", str(stats)]) == 0
+        assert "metrics" in validate_stats_file(str(stats))
+
+    def test_no_perf_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["perf", "list"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err

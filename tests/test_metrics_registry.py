@@ -1,5 +1,5 @@
 """The metrics registry: instruments, merge algebra, determinism at any
-job count, Prometheus round trip, and the v1.5 schema contract."""
+job count, the Prometheus exposition, and the v1.5 schema contract."""
 
 import json
 
@@ -8,11 +8,10 @@ import pytest
 from helpers import module_of
 from repro.benchgen import all_suites
 from repro.observability import (MetricsRegistry, NULL_METRICS,
-                                 merge_snapshots, parse_prometheus_text,
                                  prometheus_text, validate_stats)
 from repro.observability.metrics import (BUCKET_BOUNDS, COUNT_BOUNDS,
-                                         NullMetrics, render_prometheus,
-                                         resolve_metrics, split_key, _key)
+                                         NullMetrics, resolve_metrics,
+                                         split_key, _key)
 from repro.pipeline import run_experiment
 
 TWO_FUNCS = """
@@ -125,8 +124,15 @@ class TestMergeAlgebra:
             registry.histogram("h").observe(value)
         return registry.snapshot()
 
+    @staticmethod
+    def _merged(snapshots):
+        registry = MetricsRegistry()
+        for snapshot in snapshots:
+            registry.merge(snapshot)
+        return registry.snapshot()
+
     def test_merge_sums_counts_and_maxes_gauges(self):
-        merged = merge_snapshots([
+        merged = self._merged([
             self._snap(2, 5, [1e-6]),
             self._snap(3, 9, [3e-6, 1e9]),
             None, {},  # skipped workers
@@ -138,8 +144,8 @@ class TestMergeAlgebra:
     def test_merge_is_order_independent(self):
         snaps = [self._snap(1, 3, [1e-6]), self._snap(2, 7, [2e-6]),
                  self._snap(4, 1, [4e-6, 1e-5])]
-        forward = merge_snapshots(snaps)
-        backward = merge_snapshots(reversed(snaps))
+        forward = self._merged(snaps)
+        backward = self._merged(reversed(snaps))
         assert forward["counters"] == backward["counters"]
         assert forward["gauges"] == backward["gauges"]
         for key in forward["histograms"]:
@@ -261,7 +267,7 @@ class TestPrometheus:
         registry = MetricsRegistry()
         registry.counter("cache.hits").inc(3)
         registry.counter("cache.misses", suite="VALcc1").inc(2)
-        registry.gauge("ledger.wall_seconds",
+        registry.gauge("compile.wall_seconds",
                        experiment="Lphi,ABI+C").set(0.125)
         h = registry.histogram("phase.seconds", phase="ssa")
         h.observe(1e-6)
@@ -281,14 +287,29 @@ class TestPrometheus:
         inf = next(l for l in lines if 'le="+Inf"' in l)
         assert count.rsplit(" ", 1)[1] == inf.rsplit(" ", 1)[1] == "2"
 
-    def test_round_trip_exact(self):
-        text = prometheus_text(self._snapshot())
-        families = parse_prometheus_text(text)
-        assert render_prometheus(families) == text
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            parse_prometheus_text('metric{label=unquoted} 1')
+    def test_exposition_exact(self):
+        registry = MetricsRegistry()
+        registry.counter("cache.hits").inc(3)
+        registry.counter("cache.misses", suite="VALcc1").inc(2)
+        registry.gauge("compile.wall_seconds",
+                       experiment="Lphi,ABI+C").set(0.125)
+        h = registry.histogram("phase.seconds", bounds=(0.001, 0.5),
+                               phase="ssa")
+        for value in (0.0005, 0.25, 2.0):
+            h.observe(value)
+        assert registry.to_prometheus() == (
+            "# TYPE repro_cache_hits_total counter\n"
+            "repro_cache_hits_total 3\n"
+            "# TYPE repro_cache_misses_total counter\n"
+            'repro_cache_misses_total{suite="VALcc1"} 2\n'
+            "# TYPE repro_compile_wall_seconds gauge\n"
+            'repro_compile_wall_seconds{experiment="Lphi,ABI+C"} 0.125\n'
+            "# TYPE repro_phase_seconds histogram\n"
+            'repro_phase_seconds_bucket{le="0.001",phase="ssa"} 1\n'
+            'repro_phase_seconds_bucket{le="0.5",phase="ssa"} 2\n'
+            'repro_phase_seconds_bucket{le="+Inf",phase="ssa"} 3\n'
+            'repro_phase_seconds_sum{phase="ssa"} 2.2505\n'
+            'repro_phase_seconds_count{phase="ssa"} 3\n')
 
     def test_empty_snapshot_renders_empty(self):
         assert prometheus_text({}) == ""

@@ -10,25 +10,30 @@ Contracts under test:
   under contention;
 * errors are per-request (``{"ok": false}``) and never tear down the
   connection or the batch;
-* graceful shutdown drains in-flight work and flushes a final ledger
-  record.
+* graceful shutdown drains in-flight work and removes the socket;
+* the real ``repro serve`` process answers byte-identically to
+  ``repro compile`` and exits cleanly on ``shutdown``;
+* the ``metrics`` exposition carries the samples perfbench's
+  ``serve-mix`` reads.
 """
 
 import concurrent.futures
 import http.client
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
 from repro.benchgen import SUITE_NAMES, load_suite
 from repro.ir.printer import format_module
-from repro.observability.ledger import RunLedger
 from repro.observability.statdiff import stats_digest
 from repro.parallel import fork_available
 from repro.pipeline import run_experiment, table5_variants
-from repro.serve import CompileServer, ServeClient, ThreadedServer
+from repro.serve import (CompileServer, ServeClient, ThreadedServer,
+                         wait_for_server)
 from repro.serve.protocol import (ProtocolError, decode_request,
                                   parse_compile, request_fingerprint)
 
@@ -314,6 +319,37 @@ def test_stats_and_metrics_endpoints(sock_dir):
     assert "repro_serve_requests_total 1" in exposition
 
 
+def sample_value(exposition, sample):
+    """The value of an unlabelled sample line, read the way
+    ``perfbench/serve_mix.py`` reads it."""
+    values = [float(line.split()[1]) for line in exposition.splitlines()
+              if line.startswith(sample + " ")]
+    assert len(values) == 1, (sample, values)
+    return values[0]
+
+
+def test_metrics_exposition_carries_serve_mix_samples(sock_dir):
+    # memo off: the repeat is a cache hit, not a response-memo hit.
+    socket_path, server = start_server(sock_dir, jobs=1, memo_size=0)
+    functions = len(load_suite("example1-8").module.functions)
+    with ThreadedServer(server):
+        with ServeClient(socket_path) as client:
+            responses = [client.compile(suite_source("example1-8"),
+                                        name="examples")
+                         for _ in range(2)]
+            exposition = client.metrics_text()
+    cold, hit = (response["cache"] for response in responses)
+    assert (cold["misses"], hit["hits"]) == (functions, functions)
+    assert sample_value(exposition,
+                        "repro_serve_cache_hits_total") == functions
+    assert sample_value(exposition,
+                        "repro_serve_cache_misses_total") == functions
+    assert sample_value(exposition, "repro_serve_cache_bytes_total") \
+        == cold["bytes"] + hit["bytes"] > 0
+    assert sample_value(exposition, "repro_serve_request_seconds_sum") \
+        == pytest.approx(sum(r["wall_s"] for r in responses), abs=1e-5)
+
+
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
 def test_stats_reports_pool_health(sock_dir):
     socket_path, server = start_server(sock_dir, jobs=2)
@@ -366,11 +402,8 @@ def test_http_transport(sock_dir):
 # ----------------------------------------------------------------------
 # Graceful shutdown
 # ----------------------------------------------------------------------
-def test_graceful_drain_finishes_inflight_and_flushes_ledger(
-        sock_dir, tmp_path):
-    ledger_path = tmp_path / "runs.jsonl"
-    socket_path, server = start_server(sock_dir, jobs=1,
-                                       ledger=str(ledger_path))
+def test_graceful_drain_finishes_inflight_and_cleans_up(sock_dir):
+    socket_path, server = start_server(sock_dir, jobs=1)
     handle = ThreadedServer(server).start()
     try:
         with ServeClient(socket_path) as client:
@@ -379,13 +412,11 @@ def test_graceful_drain_finishes_inflight_and_flushes_ledger(
     finally:
         handle.stop()
     assert not os.path.exists(socket_path)  # socket cleaned up
-    records = RunLedger(str(ledger_path)).entries()
-    assert len(records) == 1
-    record = records[0]
-    assert record["suite"] == "serve"
-    assert record["timing"]["wall_s"] is None  # never a timing row
-    assert record["serve"]["requests"] == 1
-    assert record["serve"]["errors"] == 0
+    stats = server._lifetime_stats()
+    assert (stats["requests"], stats["errors"]) == (1, 0)
+    exposition = server.metrics.to_prometheus()
+    assert "repro_serve_requests_total 1\n" in exposition
+    assert "repro_serve_batched_requests_total 1\n" in exposition
 
 
 def test_shutdown_op_rejects_new_work(sock_dir):
@@ -431,7 +462,45 @@ def test_batch_isolates_a_malformed_number():
 
 
 # ----------------------------------------------------------------------
-# Suite sanity: the three serve-smoke suites exist
+# The real ``repro serve`` process, launched as perfbench launches it
+# ----------------------------------------------------------------------
+def test_serve_process_matches_one_shot_compile(sock_dir, tmp_path):
+    source_path = tmp_path / "VALcc1.lai"
+    source_path.write_text(suite_source("VALcc1"))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    one_shot = subprocess.run(
+        [sys.executable, "-m", "repro", "compile", str(source_path),
+         "-e", "Lphi,ABI+C"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert one_shot.returncode == 0, one_shot.stderr
+
+    socket_path = os.path.join(sock_dir, "s.sock")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--socket", socket_path,
+         "--jobs", "2"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        wait_for_server(socket_path, timeout=30)
+        with ServeClient(socket_path) as client:
+            cold, memo = [client.compile(source_path.read_text(),
+                                         name="VALcc1")
+                          for _ in range(2)]
+            assert client.shutdown()["draining"]
+        assert process.wait(timeout=30) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    assert cold["ok"] and "memo" not in cold
+    assert memo["ok"] and memo["memo"]
+    for response in (cold, memo):
+        assert response["module"] + "\n" == one_shot.stdout
+    assert not os.path.exists(socket_path)
+
+
+# ----------------------------------------------------------------------
+# Suite sanity: the suites these tests and serve-mix compile exist
 # ----------------------------------------------------------------------
 def test_smoke_suites_are_real():
     for name in ("VALcc1", "LAI_Large", "SPECint"):
