@@ -6,11 +6,12 @@ Layout (one directory, shareable between processes and runs)::
         objects/<aa>/<38 more hex chars>.bin     one entry per key
 
 Each entry file is ``MAGIC + sha256(payload) + payload`` where the
-payload is a pickled dict holding the translated
+payload is a pickled one-function *part* (see
+:func:`repro.pipeline.fold`): the translated
 :class:`~repro.ir.function.Function`, its per-phase pass statistics,
-the decision/analysis counters recorded while it compiled, and the
-per-phase IR measures (so warm runs can rebuild the ``phases[]``
-breakdown of the stats document).
+its per-phase IR measures (so warm runs rebuild the ``phases[]``
+breakdown of the stats document) and the decision counters recorded
+while it compiled.
 
 Concurrency model -- the one the parallel driver
 (:mod:`repro.parallel`) relies on:
@@ -60,8 +61,8 @@ CACHE_STATS_KEYS = ("hits", "misses", "stores", "evictions", "bytes",
                     "corrupt")
 
 #: Keys every stored payload must carry to be considered intact.
-_PAYLOAD_KEYS = frozenset({"function", "phase_stats", "counters",
-                           "breakdown"})
+_PAYLOAD_KEYS = frozenset({"functions", "phase_stats", "phases",
+                           "counters"})
 
 
 class CompilationCache:
@@ -149,7 +150,10 @@ class CompilationCache:
             return None
         if not (isinstance(payload, dict)
                 and _PAYLOAD_KEYS <= payload.keys()
-                and isinstance(payload["function"], Function)):
+                and isinstance(payload["functions"], dict)
+                and len(payload["functions"]) == 1
+                and all(isinstance(function, Function)
+                        for function in payload["functions"].values())):
             return None
         return payload
 

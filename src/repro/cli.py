@@ -160,13 +160,12 @@ def cmd_experiments(args) -> int:
     results = run_experiments(
         module, tracer=Tracer, jobs=args.jobs, cache=args.cache_dir,
         metrics=MetricsRegistry if _wants_metrics(args) else None)
+    document = {"schema": COLLECTION_SCHEMA,
+                "runs": [r.to_stats() for r in results]} \
+        if args.stats_json or args.format == "json" else None
     if args.stats_json:
-        _write_json(args.stats_json,
-                    {"schema": COLLECTION_SCHEMA,
-                     "runs": [r.to_stats() for r in results]})
+        _write_json(args.stats_json, document)
     if args.format == "json":
-        document = {"schema": COLLECTION_SCHEMA,
-                    "runs": [r.to_stats() for r in results]}
         print(json.dumps(document, indent=2))
     else:
         print(f"{'experiment':<14}{'moves':>7}{'weighted':>10}{'instrs':>8}")

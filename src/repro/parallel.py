@@ -11,22 +11,23 @@ returns each job's payloads -- or the exception the job raised -- in
 shard order.  :func:`merge_job` folds one job's payloads back into an
 :class:`~repro.pipeline.ExperimentResult`.
 
-The merge layer is the actual contract of this module: paper-metric
-output must be **byte-identical at any job count**.  That means nothing
-may depend on worker arrival order --
+The merge is the actual contract of this module: paper-metric output
+must be **byte-identical at any job count**.  A worker payload is a
+*part* -- the shape :func:`repro.pipeline.fold` assembles every result
+from, whether serial, cache hit or worker -- so :func:`merge_job` only
+adds what is parallel-specific:
 
-* the merged module lists functions in the *input module's* order, not
-  shard order;
-* ``phase_stats`` and every ``phases[]`` breakdown entry re-sequence
-  their per-function payloads by a stable ``(phase, function)`` order;
-* tracer counters, event counts, ``analysis_cache`` totals and metric
-  snapshots (counters and histogram buckets add, gauges take the max)
-  are summed per key (summation is order-free);
 * worker span/event records are grafted into the parent tracer in
   shard-index order with renumbered ``seq``/rebased timestamps, so a
   ``--trace`` of a parallel run is one coherent Chrome trace;
-* semantic verification (``verify=``) replays in the parent, against
-  the input and the merged module, exactly as the serial run does.
+* ``analysis_cache``, ``cache`` and metric snapshots (counters and
+  histogram buckets add, gauges take the max) are summed per key;
+* the fold then lists functions in the *input module's* order,
+  re-sequences ``phase_stats`` and ``phases[]`` the same way (a merged
+  phase's ``seq`` is its index) and adds each worker's counters to the
+  parent tracer, and :func:`repro.pipeline.verified_run` replays
+  ``verify=`` in the parent, against the input and the merged module,
+  exactly as the serial run does.
 
 ``jobs`` semantics everywhere (``run_experiment``, ``run_table``,
 ``run_table5``, the CLI ``--jobs`` and the benchmark harness):
@@ -175,14 +176,19 @@ def _compile_units(spec) -> list:
 
 
 def _result_payload(result, wall_ns: int) -> dict:
-    """The picklable slice of an :class:`ExperimentResult` a worker
-    sends back (the module's externals -- arbitrary callables -- and
-    the live tracer object stay behind)."""
+    """What a worker sends back: its run as a part of
+    :func:`repro.pipeline.fold`, plus the environment blocks
+    :func:`merge_job` sums (the module's externals -- arbitrary
+    callables -- and the live tracer object stay behind)."""
     tracer = result.tracer
     return {
         "functions": dict(result.module.functions),
         "phase_stats": result.phase_stats,
-        "phase_breakdown": result.phase_breakdown,
+        # A worker's span seqs mean nothing in the parent: a merged
+        # phase's ``seq`` is its index.
+        "phases": [{**entry, "seq": i}
+                   for i, entry in enumerate(result.phase_breakdown)],
+        "counters": tracer.counters if tracer.enabled else {},
         "analysis_cache": result.analysis_cache,
         "cache": result.cache,
         "metrics": result.metrics or None,
@@ -193,8 +199,7 @@ def _result_payload(result, wall_ns: int) -> dict:
 
 def _tracer_payload(tracer: Tracer) -> dict:
     return {"spans": tracer.spans, "events": tracer.events,
-            "counters": tracer.counters, "epoch_ns": tracer.epoch_ns,
-            "seq": tracer._seq}
+            "epoch_ns": tracer.epoch_ns, "seq": tracer._seq}
 
 
 # ----------------------------------------------------------------------
@@ -397,66 +402,7 @@ def _graft_tracer(parent: Tracer, payload: Optional[dict],
         event.span = event.span + base if event.span is not None \
             else root_seq
         parent.events.append(event)
-    for key, value in payload["counters"].items():
-        parent.counters[key] = parent.counters.get(key, 0) + value
     parent._seq = base + payload["seq"]
-
-
-def _merge_module(module: Module, payloads: Sequence[dict]) -> Module:
-    """Transformed functions re-assembled in the input module's order."""
-    transformed: dict = {}
-    for payload in payloads:
-        transformed.update(payload["functions"])
-    merged = Module(module.name)
-    for fn_name in module.functions:
-        merged.add_function(transformed[fn_name])
-    merged.externals = dict(module.externals)
-    return merged
-
-
-def _merge_phase_stats(payloads: Sequence[dict],
-                       order: dict[str, int]) -> dict:
-    """Per-phase pass statistics, function keys in module order."""
-    merged: dict = {}
-    for payload in payloads:
-        for phase, stats in payload["phase_stats"].items():
-            merged.setdefault(phase, {}).update(stats)
-    return {phase: {name: stats[name]
-                    for name in sorted(stats, key=order.__getitem__)}
-            for phase, stats in merged.items()}
-
-
-def _merge_phase_breakdown(payloads: Sequence[dict],
-                           order: dict[str, int]) -> list:
-    """The ``phases[]`` entries, re-sequenced by the stable
-    ``(phase, function)`` order.  Non-timing content equals the serial
-    entry exactly; ``seq``/``start_ns``/``duration_ns`` become the
-    phase index, the earliest worker start and the slowest worker
-    duration (the documented non-deterministic timing fields)."""
-    breakdowns = [p["phase_breakdown"] for p in payloads]
-    merged = []
-    for i in range(max((len(b) for b in breakdowns), default=0)):
-        entries = [b[i] for b in breakdowns if i < len(b)]
-        functions: dict = {}
-        for entry in entries:
-            functions.update(entry["functions"])
-        functions = {name: functions[name]
-                     for name in sorted(functions, key=order.__getitem__)}
-        totals = {key: sum(per_fn["delta"][key]
-                           for per_fn in functions.values())
-                  for key in ("instructions", "moves", "phis")}
-        moves_delta = totals["moves"]
-        merged.append({
-            "phase": entries[0]["phase"],
-            "seq": i,
-            "start_ns": min(e["start_ns"] for e in entries),
-            "duration_ns": max(e["duration_ns"] for e in entries),
-            "delta": {**totals,
-                      "copies_inserted": max(moves_delta, 0),
-                      "copies_removed": max(-moves_delta, 0)},
-            "functions": functions,
-        })
-    return merged
 
 
 def _merge_cache_stats(payloads: Sequence[dict]) -> dict:
@@ -483,40 +429,26 @@ def merge_job(module: Module, name: str, payloads: Sequence[dict],
     :class:`~repro.pipeline.ExperimentResult` the serial
     ``run_phases(module, name, ...)`` would have returned.
 
-    Semantic verification (``verify=``) runs here, in the parent,
-    against the input and the *merged* module, reproducing the serial
-    interpreter work exactly.  Worker tracers are grafted under this
-    run's ``experiment:`` span; worker metric snapshots merge
-    element-wise into *metrics*.  *workers*/*pool_ns* come from
-    :func:`run_units` and only feed the ``parallel`` block.
+    Worker tracers are grafted under this run's ``experiment:`` span
+    and the environment blocks are summed; the payloads themselves are
+    parts, assembled by the same :func:`repro.pipeline.fold` and
+    checked by the same :func:`repro.pipeline.verified_run` frame
+    (``verify=`` replays here, in the parent) as a serial run.
+    *workers*/*pool_ns* come from :func:`run_units` and only feed the
+    ``parallel`` block.
     """
     from . import pipeline as _pipeline
     from .observability.metrics import resolve_metrics
 
     tracer = resolve_tracer(tracer)
     metrics = resolve_metrics(metrics)
-    result = _pipeline.ExperimentResult(name=name, module=module,
-                                        tracer=tracer)
-    references = {}
-    with tracer.span(f"experiment:{name}", experiment=name) as root:
-        if verify:
-            with tracer.span("verify:before"):
-                for fn_name, args in verify:
-                    references[(fn_name, tuple(args))] = \
-                        _pipeline.run_module(module, fn_name, args,
-                                             tracer=tracer).observable()
-
+    with _pipeline.verified_run(module, name, verify, tracer) \
+            as (result, root):
         merge_start = time.perf_counter_ns()
         if tracer.enabled:
             for payload in payloads:
                 _graft_tracer(tracer, payload["tracer"], root.seq,
                               root.depth + 1)
-        order = {fn_name: i for i, fn_name in enumerate(module.functions)}
-        work = _merge_module(module, payloads)
-        result.module = work
-        result.phase_stats = _merge_phase_stats(payloads, order)
-        if tracer.enabled:
-            result.phase_breakdown = _merge_phase_breakdown(payloads, order)
         result.analysis_cache = _merge_cache_stats(payloads)
         result.cache = _merge_store_stats(payloads)
         if metrics.enabled:
@@ -527,28 +459,14 @@ def merge_job(module: Module, name: str, payloads: Sequence[dict],
             # counters stay identical at any job count.
             metrics.counter("pipeline.runs").inc(1 - len(payloads))
             result.metrics = metrics.snapshot()
-        merge_ns = time.perf_counter_ns() - merge_start
-
-        if references:
-            with tracer.span("verify:after"):
-                for key, reference in references.items():
-                    fn_name, args = key
-                    after = _pipeline.run_module(
-                        work, fn_name, args, tracer=tracer).observable()
-                    if after != reference:
-                        raise AssertionError(
-                            f"{name}: {fn_name}{tuple(args)} changed "
-                            f"behaviour: {reference} -> {after}")
-
-        result.moves = _pipeline.count_moves(work)
-        result.weighted = _pipeline.weighted_moves(work)
-        result.instructions = _pipeline.count_instructions(work)
+        result.module, result.phase_stats, result.phase_breakdown = \
+            _pipeline.fold(module, payloads, tracer)
         result.parallel = {
             "mode": "functions",
             "jobs": workers,
             "workers": len(payloads),
             "pool_ns": pool_ns,
-            "merge_ns": merge_ns,
+            "merge_ns": time.perf_counter_ns() - merge_start,
             "shards": [{"worker": p["shard"],
                         "functions": len(p["functions"]),
                         "wall_ns": p["wall_ns"]} for p in payloads],

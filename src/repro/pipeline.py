@@ -26,6 +26,7 @@ reference interpreter (``verify=...``).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -276,18 +277,21 @@ def _snapshot(module: Module) -> dict[str, dict[str, int]]:
             for f in module.iter_functions()}
 
 
-def _phase_entry(phase: str, span, before: dict, after: dict) -> dict:
-    """One ``phases[]`` entry of the ``repro.stats/v1`` document."""
+_ZERO_MEASURES = {"instructions": 0, "moves": 0, "phis": 0}
+
+
+def _phase_delta(before: dict, after: dict) -> dict:
+    """The ``delta`` and ``functions`` of one ``phases[]`` entry, from
+    per-function IR measures taken before and after the phase."""
     functions = {}
-    totals = {"instructions": 0, "moves": 0, "phis": 0}
-    empty = {"instructions": 0, "moves": 0, "phis": 0}
-    # Iterate the *union* of the two snapshots: a function present
-    # before the phase but absent after it (removed by the pass) must
-    # still contribute its (negative) delta, reported with an ``after``
-    # of zeros -- iterating only ``after`` under-reports removals.
+    totals = dict(_ZERO_MEASURES)
+    # Iterate the *union* of the two maps: a function present before
+    # the phase but absent after it (removed by the pass) must still
+    # contribute its (negative) delta, reported with an ``after`` of
+    # zeros -- iterating only ``after`` under-reports removals.
     for fname in {**before, **after}:
-        b = before.get(fname, empty)
-        a = after.get(fname, empty)
+        b = before.get(fname, _ZERO_MEASURES)
+        a = after.get(fname, _ZERO_MEASURES)
         delta = {key: a[key] - b[key] for key in totals}
         functions[fname] = {"before": dict(b), "after": dict(a),
                             "delta": delta}
@@ -295,10 +299,6 @@ def _phase_entry(phase: str, span, before: dict, after: dict) -> dict:
             totals[key] += delta[key]
     moves_delta = totals["moves"]
     return {
-        "phase": phase,
-        "seq": span.seq,
-        "start_ns": span.start_ns,
-        "duration_ns": span.duration_ns,
         "delta": {**totals,
                   # Net split of the move delta: a phase both inserting
                   # and removing copies reports the net direction only.
@@ -342,62 +342,106 @@ def _phase_runner(phase: str, options: PhaseOptions, target: Target,
     raise ValueError(f"unknown phase {phase!r}")
 
 
-_EMPTY_MEASURES = {"instructions": 0, "moves": 0, "phis": 0}
+def fold(module: Module, parts: Sequence[dict],
+         tracer) -> tuple[Module, dict, list]:
+    """Assemble per-function results into one run's module,
+    ``phase_stats`` and ``phases[]`` -- the single merge every path
+    shares.
 
+    A *part* is ``{"functions", "phase_stats", "phases", "counters"}``:
+    transformed functions by name, ``{phase: {function: stats}}``, one
+    ``phases[]`` entry per phase whose ``functions`` hold each
+    function's ``before``/``after`` measures, and decision counters to
+    replay onto *tracer*.  The serial loop's own output is a part (its
+    counters already live on the tracer), a cache entry is a
+    one-function part, and a worker payload is a part.
 
-def _merge_cached(module: Module, work: Module, cached: dict,
-                  result: ExperimentResult, tracer) -> Module:
-    """Fold cache-hit payloads back into the run's outputs.
-
-    Rebuilds the module in the *input module's* function order (the
-    same determinism contract as the parallel merge), splices each
-    payload's per-phase pass statistics and IR measures into
-    ``phase_stats`` / ``phase_breakdown`` at their stable positions,
-    and replays the stored decision counters onto the tracer.
+    Whatever the order of *parts*, the module lists functions in
+    *module*'s order and every per-function map is re-sequenced the
+    same way.  ``phases[]`` is built only under a recording tracer; an
+    entry's timing is the smallest ``seq``, earliest ``start_ns`` and
+    slowest ``duration_ns`` of the parts that timed it (cache entries
+    carry none).
     """
+    order = {fn_name: i for i, fn_name in enumerate(module.functions)}
+
+    def ordered(by_function: dict) -> dict:
+        return {fn_name: by_function[fn_name]
+                for fn_name in sorted(by_function, key=order.__getitem__)}
+
+    functions: dict = {}
+    phase_stats: dict = {}
+    for part in parts:
+        functions.update(part["functions"])
+        for phase, stats in part["phase_stats"].items():
+            phase_stats.setdefault(phase, {}).update(stats)
     merged = Module(module.name)
     for fn_name in module.functions:
-        if fn_name in cached:
-            merged.add_function(cached[fn_name]["function"])
-        elif fn_name in work.functions:
-            merged.add_function(work.functions[fn_name])
+        if fn_name in functions:  # a pass may have removed it
+            merged.add_function(functions[fn_name])
     merged.externals = dict(module.externals)
 
-    order = {fn_name: i for i, fn_name in enumerate(module.functions)}
-    for payload in cached.values():
-        for phase in payload["phase_stats"]:
-            result.phase_stats.setdefault(phase, {})
-    result.phase_stats = {
-        phase: dict(sorted(
-            {**stats, **{fn_name: payload["phase_stats"][phase]
-                         for fn_name, payload in cached.items()
-                         if phase in payload["phase_stats"]}}.items(),
-            key=lambda item: order[item[0]]))
-        for phase, stats in result.phase_stats.items()}
-
+    breakdown = []
     if tracer.enabled:
-        for payload in cached.values():
-            for counter, value in payload["counters"].items():
+        for part in parts:
+            for counter, value in part["counters"].items():
                 tracer.counters[counter] = \
                     tracer.counters.get(counter, 0) + value
-        for i, entry in enumerate(result.phase_breakdown):
-            functions = dict(entry["functions"])
-            for fn_name, payload in cached.items():
-                measures = payload["breakdown"][i]
-                b, a = measures["before"], measures["after"]
-                functions[fn_name] = {
-                    "before": dict(b), "after": dict(a),
-                    "delta": {key: a[key] - b[key] for key in a}}
-            entry["functions"] = dict(sorted(
-                functions.items(), key=lambda item: order[item[0]]))
-            totals = {key: sum(per_fn["delta"][key]
-                               for per_fn in functions.values())
-                      for key in _EMPTY_MEASURES}
-            moves_delta = totals["moves"]
-            entry["delta"] = {**totals,
-                              "copies_inserted": max(moves_delta, 0),
-                              "copies_removed": max(-moves_delta, 0)}
-    return merged
+        for i in range(max((len(part["phases"]) for part in parts),
+                           default=0)):
+            entries = [part["phases"][i] for part in parts
+                       if i < len(part["phases"])]
+            timed = [entry for entry in entries if "seq" in entry]
+            records = ordered({fn_name: record for entry in entries
+                               for fn_name, record
+                               in entry["functions"].items()})
+            breakdown.append({
+                "phase": entries[0]["phase"],
+                "seq": min(entry["seq"] for entry in timed),
+                "start_ns": min(entry["start_ns"] for entry in timed),
+                "duration_ns": max(entry["duration_ns"] for entry in timed),
+                **_phase_delta(
+                    {fn_name: r["before"] for fn_name, r in records.items()},
+                    {fn_name: r["after"] for fn_name, r in records.items()}),
+            })
+    return merged, {phase: ordered(stats)
+                    for phase, stats in phase_stats.items()}, breakdown
+
+
+@contextlib.contextmanager
+def verified_run(module: Module, name: str, verify, tracer,
+                 analyses: Optional[AnalysisManager] = None):
+    """The frame of every run, serial or merged from workers.
+
+    Opens the ``experiment:`` span, replays ``verify:before`` on the
+    input *module* and yields ``(result, span)``.  The caller sets
+    ``result.module`` (through :func:`fold`); on exit the same calls
+    are replayed on it (``verify:after``, raising on any changed
+    behaviour) and the paper metrics are counted.
+    """
+    result = ExperimentResult(name=name, module=module, tracer=tracer)
+    references = {}
+    with tracer.span(f"experiment:{name}", experiment=name) as root:
+        if verify:
+            with tracer.span("verify:before"):
+                for fn_name, args in verify:
+                    references[(fn_name, tuple(args))] = \
+                        run_module(module, fn_name, args,
+                                   tracer=tracer).observable()
+        yield result, root
+        work = result.module
+        if references:
+            with tracer.span("verify:after"):
+                for (fn_name, args), reference in references.items():
+                    after = run_module(work, fn_name, args,
+                                       tracer=tracer).observable()
+                    if after != reference:
+                        raise AssertionError(
+                            f"{name}: {fn_name}{tuple(args)} changed "
+                            f"behaviour: {reference} -> {after}")
+        result.moves = count_moves(work)
+        result.weighted = weighted_moves(work, analyses=analyses)
+        result.instructions = count_instructions(work)
 
 
 def run_phases(module: Module, name: str, phases: Iterable[str],
@@ -420,26 +464,17 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
     options = options or PhaseOptions()
     phases = tuple(phases)
     work = module.copy()
-    result = ExperimentResult(name=name, module=work, tracer=tracer)
-    references = {}
     # ``analyses`` lets a long-lived caller (the serve serial path) keep
     # one process-lifetime manager across runs; its ``analysis_cache``
     # block then reports this run's deltas, not lifetime totals.
     manager = analyses if analyses is not None else AnalysisManager(tracer)
     analysis_mark = manager.stats() if analyses is not None else None
     cache_mark = cache.stats() if cache is not None else None
-    with tracer.span(f"experiment:{name}", experiment=name):
-        if verify:
-            with tracer.span("verify:before"):
-                for fn_name, args in verify:
-                    references[(fn_name, tuple(args))] = \
-                        run_module(module, fn_name, args,
-                                   tracer=tracer).observable()
-
+    with verified_run(module, name, verify, tracer, manager) as (result, _):
         # Cache probe: hit functions leave the working module entirely
-        # (their stored results are merged back after the phase loop);
-        # only misses flow through the phases below.
-        cached: dict[str, dict] = {}
+        # (each entry is a one-function part, folded in after the phase
+        # loop); only misses flow through the phases below.
+        hits: list[dict] = []
         miss_keys: dict[str, str] = {}
         if cache is not None:
             with tracer.span("cache:probe",
@@ -457,17 +492,18 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                     if payload is None:
                         miss_keys[function.name] = key
                     else:
-                        cached[function.name] = payload
+                        hits.append(payload)
                         del work.functions[function.name]
                 if measuring:
-                    metrics.counter("cache.hits").inc(len(cached))
+                    metrics.counter("cache.hits").inc(len(hits))
                     metrics.counter("cache.misses").inc(len(miss_keys))
-        #: miss function -> per-phase IR measures and counter deltas,
-        #: captured so the stored entry can replay them on later hits.
-        records: dict[str, dict] = {
-            fn_name: {"counters": {}, "breakdown": []}
-            for fn_name in miss_keys}
-        recording = bool(records)
+        #: This loop's output as a part.  Its counters are already on
+        #: the tracer; ``counters`` below keeps each miss's decision
+        #: counter deltas so its stored entry can replay them on a hit.
+        local: dict = {"functions": work.functions, "phase_stats": {},
+                       "phases": [], "counters": {}}
+        counters: dict[str, dict] = {fn_name: {} for fn_name in miss_keys}
+        recording = bool(miss_keys)
 
         in_ssa = False
         #: function -> (epoch, cfg_epoch, in_ssa) at its last clean
@@ -505,7 +541,7 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                     if stats is not None:
                         stats[function.name] = value
                     if base is not None:
-                        deltas = records[function.name]["counters"]
+                        deltas = counters[function.name]
                         for counter, total in tracer.counters.items():
                             # Pass *decision* counters replay exactly on
                             # a later hit; ``analysis.*`` traffic belongs
@@ -521,22 +557,18 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                 in_ssa = True
             elif phase == "out-of-pinned-ssa":
                 in_ssa = False
-            after = _snapshot(work) if tracer.enabled or recording \
-                else None
-            if recording:
-                for fn_name, record in records.items():
-                    record["breakdown"].append(
-                        {"phase": phase,
-                         "before": before.get(fn_name, _EMPTY_MEASURES),
-                         "after": after.get(fn_name, _EMPTY_MEASURES)})
+            if before is not None:
+                entry = {"phase": phase,
+                         **_phase_delta(before, _snapshot(work))}
+                if span is not None:  # null tracer: no timing to keep
+                    entry.update(seq=span.seq, start_ns=span.start_ns,
+                                 duration_ns=span.duration_ns)
+                local["phases"].append(entry)
             for function in work.iter_functions():
                 manager.invalidate(function,
                                    preserves=PHASE_PRESERVES[phase])
             if stats is not None:
-                result.phase_stats[phase] = stats
-            if tracer.enabled:
-                result.phase_breakdown.append(
-                    _phase_entry(phase, span, before, after))
+                local["phase_stats"][phase] = stats
             if validate:
                 with tracer.span(f"validate:{phase}"):
                     for function in work.iter_functions():
@@ -547,7 +579,10 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                                           allow_phis=in_ssa)
                         validated[function] = stamp
 
-        if cache is not None and miss_keys:
+        result.module, result.phase_stats, result.phase_breakdown = \
+            fold(module, [local, *hits], tracer)
+
+        if miss_keys:
             with tracer.span("cache:store", functions=len(miss_keys)):
                 store_timer = metrics.histogram("cache.store_seconds") \
                     if measuring else None
@@ -558,65 +593,48 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                     if measuring:
                         store_start = time.perf_counter_ns()
                     cache.store(key, {
-                        "function": function,
+                        "functions": {fn_name: function},
                         "phase_stats": {
-                            phase: stats[fn_name]
-                            for phase, stats in result.phase_stats.items()
-                            if fn_name in stats},
-                        "counters": records[fn_name]["counters"],
-                        "breakdown": records[fn_name]["breakdown"],
+                            phase: {fn_name: stats[fn_name]}
+                            for phase, stats
+                            in local["phase_stats"].items()},
+                        "phases": [
+                            {"phase": entry["phase"], "functions": {
+                                fn_name: entry["functions"][fn_name]}}
+                            for entry in local["phases"]],
+                        "counters": counters[fn_name],
                     })
                     if measuring:
                         store_timer.observe(
                             (time.perf_counter_ns() - store_start) / 1e9)
-        if cached:
-            work = _merge_cached(module, work, cached, result, tracer)
-            result.module = work
 
-        if references:
-            with tracer.span("verify:after"):
-                for key, reference in references.items():
-                    fn_name, args = key
-                    after = run_module(work, fn_name, args,
-                                       tracer=tracer).observable()
-                    if after != reference:
-                        raise AssertionError(
-                            f"{name}: {fn_name}{tuple(args)} changed "
-                            f"behaviour: {reference} -> {after}")
-
-        result.moves = count_moves(work)
-        result.weighted = weighted_moves(work, analyses=manager)
-        result.instructions = count_instructions(work)
-        result.analysis_cache = manager.stats() if analysis_mark is None \
-            else manager.stats_since(analysis_mark)
-        if cache is not None:
-            result.cache = cache.stats_since(cache_mark)
-        if measuring:
-            function_timer = metrics.histogram("compile.function_seconds")
-            for fn_name in sorted(function_ns):
-                function_timer.observe(function_ns[fn_name] / 1e9)
-            metrics.counter("pipeline.runs").inc()
-            metrics.counter("pipeline.functions").inc(
-                len(module.functions))
-            analysis = result.analysis_cache
-            metrics.counter("analysis.hits").inc(analysis.get("hits", 0))
-            metrics.counter("analysis.misses").inc(
-                analysis.get("misses", 0))
-            metrics.counter("oracle.hits").inc(
-                analysis.get("oracle_hits", 0))
-            metrics.counter("oracle.misses").inc(
-                analysis.get("oracle_misses", 0))
-            # The oracle's per-run query batch: how many interference
-            # verdicts one pipeline run asked for (a size, not a
-            # latency -- hence the count ladder).
-            metrics.histogram("oracle.query_batch",
-                              bounds=COUNT_BOUNDS).observe(
-                float(analysis.get("oracle_hits", 0)
-                      + analysis.get("oracle_misses", 0)))
-            if result.cache:
-                metrics.gauge("cache.store_bytes").set(
-                    result.cache.get("bytes", 0))
-            result.metrics = metrics.snapshot()
+    result.analysis_cache = manager.stats() if analysis_mark is None \
+        else manager.stats_since(analysis_mark)
+    if cache is not None:
+        result.cache = cache.stats_since(cache_mark)
+    if measuring:
+        function_timer = metrics.histogram("compile.function_seconds")
+        for fn_name in sorted(function_ns):
+            function_timer.observe(function_ns[fn_name] / 1e9)
+        metrics.counter("pipeline.runs").inc()
+        metrics.counter("pipeline.functions").inc(len(module.functions))
+        analysis = result.analysis_cache
+        metrics.counter("analysis.hits").inc(analysis.get("hits", 0))
+        metrics.counter("analysis.misses").inc(analysis.get("misses", 0))
+        metrics.counter("oracle.hits").inc(analysis.get("oracle_hits", 0))
+        metrics.counter("oracle.misses").inc(
+            analysis.get("oracle_misses", 0))
+        # The oracle's per-run query batch: how many interference
+        # verdicts one pipeline run asked for (a size, not a latency --
+        # hence the count ladder).
+        metrics.histogram("oracle.query_batch",
+                          bounds=COUNT_BOUNDS).observe(
+            float(analysis.get("oracle_hits", 0)
+                  + analysis.get("oracle_misses", 0)))
+        if result.cache:
+            metrics.gauge("cache.store_bytes").set(
+                result.cache.get("bytes", 0))
+        result.metrics = metrics.snapshot()
     return result
 
 

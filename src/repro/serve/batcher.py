@@ -6,9 +6,11 @@ request is one job of :func:`repro.parallel.run_units`, so every
 greedy-LPT placement spans request boundaries -- one large request and
 five small ones fill the pool evenly instead of queueing behind each
 other.  Each request's payloads merge through
-:func:`repro.parallel.merge_job`, which is what makes a batched
-response **byte-identical** to the serial CLI path: same module order,
-same ``phase_stats`` sequencing, same summed counters.
+:func:`repro.parallel.merge_job`, which assembles them with the same
+:func:`repro.pipeline.fold` the serial path uses for its own output
+and its cache hits -- that is what makes a batched response
+**byte-identical** to the serial CLI path: same module order, same
+``phase_stats`` sequencing, same summed counters.
 
 Failures stay per-request: a request whose compile raises (validation
 error, malformed IR that parsed but does not compile) turns into that

@@ -182,6 +182,29 @@ class TestRoundTrip:
         assert other.cache["misses"] == len(module.functions)
 
 
+class TestPartiallyWarm:
+    @pytest.mark.parametrize("jobs", [
+        1, pytest.param(2, marks=pytest.mark.skipif(
+            not fork_available(), reason="platform lacks fork"))])
+    def test_hit_and_miss_parts_fold_like_cold(self, module, tmp_path,
+                                               jobs):
+        """One entry gone: two hit parts and one recompiled part fold
+        into the cold run's module, breakdown and decision counters."""
+        cache_dir = str(tmp_path / "cache")
+        cold = run_experiment(module, "Lphi,ABI+C", tracer=Tracer(),
+                              cache=cache_dir)
+        assert len(entry_files(cache_dir)) == 3
+        os.unlink(entry_files(cache_dir)[1])
+        warm = run_experiment(module, "Lphi,ABI+C", tracer=Tracer(),
+                              jobs=jobs, cache=cache_dir)
+        assert (warm.cache["hits"], warm.cache["misses"],
+                warm.cache["stores"]) == (2, 1, 1)
+        validate_stats(warm.to_stats())
+        assert strip_volatile(warm.to_stats()) == \
+            strip_volatile(cold.to_stats())
+        assert format_module(warm.module) == format_module(cold.module)
+
+
 class TestCorruption:
     def test_truncated_entry_recovers(self, module, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -228,6 +228,26 @@ class TestExperimentsObservability:
         assert len(doc["runs"]) == len(set(
             run["experiment"] for run in doc["runs"]))
 
+    def test_stats_json_and_json_stdout_share_one_document(
+            self, lai_file, tmp_path, capsys, monkeypatch):
+        from repro.pipeline import EXPERIMENTS, ExperimentResult
+
+        built = []
+        to_stats = ExperimentResult.to_stats
+
+        def counting(self):
+            built.append(self.name)
+            return to_stats(self)
+
+        monkeypatch.setattr(ExperimentResult, "to_stats", counting)
+        stats = tmp_path / "runs.json"
+        assert main(["experiments", lai_file, "--stats-json", str(stats),
+                     "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert stats.read_text() == out
+        validate_stats(json.loads(out))
+        assert sorted(built) == sorted(EXPERIMENTS)  # one build per run
+
     def test_stats_json_written_before_stdout(self, lai_file, tmp_path,
                                               monkeypatch):
         """The stats file must exist even if stdout dies (pipe safety)."""

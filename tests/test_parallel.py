@@ -353,21 +353,18 @@ class TestWorkerPool:
 
 
 class TestPhaseEntryUnion:
-    """Regression: ``_phase_entry`` iterated only the *after* snapshot,
-    silently dropping functions removed by a phase from the deltas."""
+    """Regression: the per-phase delta iterated only the *after*
+    measures, silently dropping functions removed by a phase from the
+    deltas.  ``_phase_delta`` is the one place every path (serial loop,
+    cache hits, worker payloads) computes a ``phases[]`` delta."""
 
     def test_removed_function_reported_with_zero_after(self):
-        from repro.pipeline import _phase_entry
-
-        class FakeSpan:
-            seq = 7
-            start_ns = 0
-            duration_ns = 1
+        from repro.pipeline import _phase_delta
 
         before = {"keep": {"instructions": 4, "moves": 1, "phis": 0},
                   "gone": {"instructions": 10, "moves": 3, "phis": 2}}
         after = {"keep": {"instructions": 3, "moves": 1, "phis": 0}}
-        entry = _phase_entry("dce", FakeSpan(), before, after)
+        entry = _phase_delta(before, after)
         assert set(entry["functions"]) == {"keep", "gone"}
         gone = entry["functions"]["gone"]
         assert gone["after"] == {"instructions": 0, "moves": 0, "phis": 0}
@@ -379,16 +376,11 @@ class TestPhaseEntryUnion:
         assert entry["delta"]["copies_inserted"] == 0
 
     def test_added_function_still_counted(self):
-        from repro.pipeline import _phase_entry
-
-        class FakeSpan:
-            seq = 0
-            start_ns = 0
-            duration_ns = 1
+        from repro.pipeline import _phase_delta
 
         before = {}
         after = {"new": {"instructions": 5, "moves": 2, "phis": 1}}
-        entry = _phase_entry("outline", FakeSpan(), before, after)
+        entry = _phase_delta(before, after)
         new = entry["functions"]["new"]
         assert new["before"] == {"instructions": 0, "moves": 0, "phis": 0}
         assert entry["delta"]["instructions"] == 5
