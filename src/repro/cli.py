@@ -542,8 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated check subset "
                                  "(default: all)")
     fuzz_run_p.add_argument("--jobs", type=int, default=4, metavar="N",
-                            help="worker count for the parallel "
-                                 "byte-identity check (default 4)")
+                            help="worker pool size: the pool runs "
+                                 "the parallel byte-identity check and, "
+                                 "beside the compositions, the oracle "
+                                 "and cache checks (default 4; 1 runs "
+                                 "every check in this process)")
     fuzz_run_p.add_argument("--max-seconds", type=float, default=None,
                             metavar="S",
                             help="time-box the sweep (finishes the "

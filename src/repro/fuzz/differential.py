@@ -261,6 +261,62 @@ def oracle_cross_check(function, max_pairs: int = 4000,
 
 
 # ----------------------------------------------------------------------
+# The checks that never read the compositions' outputs.  Each is a
+# module-level task over the program's source text (immutable, so it is
+# safe to pickle while this process compiles), which lets a sweep's pool
+# run it in a worker beside the compositions.
+# ----------------------------------------------------------------------
+def _oracle_mismatches(source: str) -> list[str]:
+    """The ``oracle`` check: :func:`oracle_cross_check` on every
+    function, a crashing cross-check reported as one mismatch."""
+    mismatches: list[str] = []
+    for function in parse_module(source).iter_functions():
+        try:
+            mismatches += oracle_cross_check(function)
+        except Exception as exc:  # noqa: BLE001
+            mismatches.append(f"{function.name}: cross-check crashed: "
+                              f"{exc!r}")
+    return mismatches
+
+
+def _cache_round_trip(source: str, verify) -> tuple[str, str, int]:
+    """The ``cache`` check's runs: :data:`ANCHOR_COMPOSITION` cache-cold
+    then cache-warm in a fresh store.  Returns both outputs' text and
+    the warm run's hit count."""
+    from ..cache import CompilationCache
+
+    module = parse_module(source)
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as tmp:
+        cache = CompilationCache(tmp)
+        cold = run_experiment(module, ANCHOR_COMPOSITION, verify=verify,
+                              jobs=1, cache=cache)
+        warm = run_experiment(module, ANCHOR_COMPOSITION, verify=verify,
+                              jobs=1, cache=cache)
+    return (format_module(cold.module), format_module(warm.module),
+            warm.cache.get("hits", 0))
+
+
+def _collect(pool, futures: dict) -> dict:
+    """check -> what its task returned or raised, for every submitted
+    check whose worker survived.  A check whose worker died is left
+    out (it reruns in this process) and the broken pool is respawned
+    once."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    outcomes, broken = {}, False
+    for check, future in futures.items():
+        try:
+            outcomes[check] = future.result()
+        except BrokenProcessPool:
+            broken = True
+        except Exception as exc:  # noqa: BLE001 - reported in its slot
+            outcomes[check] = exc
+    if broken:
+        pool.respawn()
+    return outcomes
+
+
+# ----------------------------------------------------------------------
 # The differential driver
 # ----------------------------------------------------------------------
 def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
@@ -278,7 +334,11 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
     observable behaviour.  Returns a :class:`SeedResult` whose
     ``divergences`` is empty iff the program survives everything.
     ``pool`` (a :class:`~repro.parallel.WorkerPool`) runs the
-    ``parallel`` check on the caller's pool instead of opening one.
+    ``parallel`` check on the caller's pool instead of opening one, and
+    runs the ``oracle`` and ``cache`` checks in its workers while this
+    process runs the compositions and variants.  Either way every
+    divergence is reported in the same order; a check whose worker
+    died reruns here.
     """
     checks = tuple(checks)
     names = tuple(experiments) if experiments is not None \
@@ -316,6 +376,19 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
         report(Divergence("compositions", "", type(exc).__name__,
                           f"reference run failed: {exc}", seed, profile))
         return result
+
+    tasks = {"oracle": (_oracle_mismatches, source),
+             "cache": (_cache_round_trip, source, verify)}
+    futures = {}
+    if pool is not None:
+        # Only the anchor composition's output is compared with the
+        # cache runs: without it they would be discarded unread.
+        anchored = "compositions" in checks and ANCHOR_COMPOSITION in names
+        for check, (task, *args) in tasks.items():
+            if check in checks and (check != "cache" or anchored):
+                future = pool.submit(task, *args)
+                if future is not None:
+                    futures[check] = future
 
     if "interp" in checks:
         # Explicit lockstep run regardless of $REPRO_INTERP: the
@@ -366,16 +439,23 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
                     f"moves[{lhs}]={result.moves[lhs]} > "
                     f"moves[{rhs}]={result.moves[rhs]}", seed, profile))
 
+    # Collected before the ``parallel`` check, so it finds the pool idle.
+    outcomes = _collect(pool, futures)
+
+    def outcome(check: str):
+        """*check*'s task result, from its worker or else run here;
+        raises whatever the task raised."""
+        if check not in outcomes:
+            task, *args = tasks[check]
+            return task(*args)
+        if isinstance(outcomes[check], Exception):
+            raise outcomes[check]
+        return outcomes[check]
+
     if "oracle" in checks:
-        for function in module.iter_functions():
-            try:
-                mismatches = oracle_cross_check(function)
-            except Exception as exc:  # noqa: BLE001
-                mismatches = [f"{function.name}: cross-check crashed: "
-                              f"{exc!r}"]
-            for mismatch in mismatches:
-                report(Divergence("oracle", "", "mismatch", mismatch,
-                                  seed, profile))
+        for mismatch in outcome("oracle"):
+            report(Divergence("oracle", "", "mismatch", mismatch,
+                              seed, profile))
 
     if "parallel" in checks and anchor is not None \
             and len(module.functions) > 1:
@@ -397,29 +477,19 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
                                   seed, profile))
 
     if "cache" in checks and anchor is not None:
-        from ..cache import CompilationCache
-
         try:
-            with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") \
-                    as tmp:
-                cache = CompilationCache(tmp)
-                cold = run_experiment(module, ANCHOR_COMPOSITION,
-                                      verify=verify, jobs=1, cache=cache)
-                warm = run_experiment(module, ANCHOR_COMPOSITION,
-                                      verify=verify, jobs=1, cache=cache)
-                for tag, run in (("cache-cold", cold), ("cache-warm",
-                                                        warm)):
-                    if format_module(run.module) != anchor:
-                        report(Divergence(
-                            "cache", ANCHOR_COMPOSITION, "mismatch",
-                            f"{tag} output differs from uncached",
-                            seed, profile))
-                hits = warm.cache.get("hits", 0)
-                if hits < len(module.functions):
+            cold, warm, hits = outcome("cache")
+            for tag, text in (("cache-cold", cold), ("cache-warm", warm)):
+                if text != anchor:
                     report(Divergence(
-                        "cache", ANCHOR_COMPOSITION, "hit-shortfall",
-                        f"warm run hit {hits}/{len(module.functions)} "
-                        f"functions", seed, profile))
+                        "cache", ANCHOR_COMPOSITION, "mismatch",
+                        f"{tag} output differs from uncached",
+                        seed, profile))
+            if hits < len(module.functions):
+                report(Divergence(
+                    "cache", ANCHOR_COMPOSITION, "hit-shortfall",
+                    f"warm run hit {hits}/{len(module.functions)} "
+                    f"functions", seed, profile))
         except Exception as exc:  # noqa: BLE001
             report(Divergence("cache", ANCHOR_COMPOSITION,
                               type(exc).__name__, str(exc) or "crash",
@@ -472,9 +542,11 @@ def run_fuzz(seeds: Iterable[int],
             expanded.append(profile)
     report = FuzzReport(checks=tuple(checks))
     start = time.monotonic()
-    # One pool for the whole sweep: the ``parallel`` check of every
-    # program reuses the same forked workers.
-    with shared_pool(jobs if "parallel" in checks else 1) as pool:
+    # One pool for the whole sweep: every program's ``parallel`` check
+    # and offloaded ``oracle``/``cache`` checks reuse the same forked
+    # workers.
+    pooled = {"parallel", "oracle", "cache"} & set(checks)
+    with shared_pool(jobs if pooled else 1) as pool:
         for seed in seeds:
             for profile in expanded:
                 result = check_seed(seed, profile, n_functions,

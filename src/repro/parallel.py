@@ -50,7 +50,7 @@ import contextlib
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import (BrokenProcessPool,
                                         _ExceptionWithTraceback)
 from typing import NamedTuple, Optional, Sequence
@@ -213,8 +213,9 @@ class WorkerPool:
     survive across calls, so the fork cost is paid once per pool.
     ``repro serve`` holds one for its whole lifetime; batch callers
     pass one to ``run_experiment``/``run_table``/``run_experiments``
-    via ``pool=``.  Tasks carry their own state in a pickled spec.  A
-    dead worker (``BrokenProcessPool``) is handled by discarding the
+    via ``pool=``; a fuzz sweep also hands it single check tasks
+    through :meth:`submit`.  Tasks carry their own state in a pickled
+    spec.  A dead worker (``BrokenProcessPool``) is handled by discarding the
     executor, respawning a fresh one and retrying the submission once;
     compile tasks are pure, so the retry is safe.  :meth:`run` returns
     ``None`` only when the respawned pool breaks too.
@@ -266,6 +267,23 @@ class WorkerPool:
             try:
                 futures = [pool.submit(task, spec) for spec in specs]
                 return [future.result() for future in futures]
+            except (BrokenProcessPool, OSError):
+                self.respawn()
+        return None
+
+    def submit(self, task, *args) -> Optional[Future]:
+        """Start ``task(*args)`` on a worker and return its future.
+
+        A pool that is already broken is respawned and the submission
+        retried once, as in :meth:`run`; ``None`` means even the retry's
+        pool broke.  A worker dying *after* submission surfaces as
+        ``BrokenProcessPool`` from the future: the caller decides
+        whether to :meth:`respawn` and where to rerun the task.
+        """
+        for _ in range(2):
+            pool = self._ensure()
+            try:
+                return pool.submit(task, *args)
             except (BrokenProcessPool, OSError):
                 self.respawn()
         return None

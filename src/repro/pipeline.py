@@ -280,6 +280,15 @@ def _snapshot(module: Module) -> dict[str, dict[str, int]]:
 _ZERO_MEASURES = {"instructions": 0, "moves": 0, "phis": 0}
 
 
+def _phase_records(before: dict, after: dict) -> dict:
+    """A part's per-function ``{before, after}`` measures for one
+    phase (:func:`fold` computes the deltas), over the union rule of
+    :func:`_phase_delta`."""
+    return {fname: {"before": before.get(fname, _ZERO_MEASURES),
+                    "after": after.get(fname, _ZERO_MEASURES)}
+            for fname in {**before, **after}}
+
+
 def _phase_delta(before: dict, after: dict) -> dict:
     """The ``delta`` and ``functions`` of one ``phases[]`` entry, from
     per-function IR measures taken before and after the phase."""
@@ -558,8 +567,8 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
             elif phase == "out-of-pinned-ssa":
                 in_ssa = False
             if before is not None:
-                entry = {"phase": phase,
-                         **_phase_delta(before, _snapshot(work))}
+                entry = {"phase": phase, "functions":
+                         _phase_records(before, _snapshot(work))}
                 if span is not None:  # null tracer: no timing to keep
                     entry.update(seq=span.seq, start_ns=span.start_ns,
                                  duration_ns=span.duration_ns)

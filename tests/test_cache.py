@@ -140,6 +140,28 @@ class TestRoundTrip:
         assert strip_volatile(warm.to_stats()) == \
             strip_volatile(cold.to_stats())
 
+    def test_entries_hold_only_before_after_records(self, module,
+                                                    tmp_path):
+        """An entry's ``phases[]`` records keep the measures ``fold``
+        reads; every delta is recomputed there, on hit and miss alike."""
+        cache = CompilationCache(str(tmp_path / "cache"))
+        cold = run_experiment(module, "Lphi,ABI+C", tracer=Tracer(),
+                              cache=cache)
+        for function in module.iter_functions():
+            entry = cache.probe(cache.key(function, PHASES, None, ST120))
+            assert [record["phase"] for record in entry["phases"]] == \
+                list(PHASES)
+            for record in entry["phases"]:
+                assert set(record) == {"phase", "functions"}
+                assert [set(measures) for measures
+                        in record["functions"].values()] == \
+                    [{"before", "after"}]
+        warm = run_experiment(module, "Lphi,ABI+C", tracer=Tracer(),
+                              cache=cache)
+        assert warm.cache["hits"] == len(module.functions)
+        assert strip_volatile(warm.to_stats()) == \
+            strip_volatile(cold.to_stats())
+
     def test_cache_block_only_with_cache(self, module):
         result = run_experiment(module, "Lphi,ABI+C")
         assert result.cache == {}

@@ -12,9 +12,12 @@ Two layers of coverage:
 """
 
 import os
+import signal
+import tempfile
 
 import pytest
 
+import repro.fuzz.differential as differential
 from repro.benchgen.synthetic import (FUZZ_PROFILES, SyntheticConfig,
                                       generate_module_source,
                                       profile_config, verify_runs)
@@ -25,6 +28,7 @@ from repro.fuzz import (ALL_CHECKS, Divergence, check_module, check_seed,
 from repro.interp import run_module
 from repro.ir.printer import format_module
 from repro.lai import parse_module
+from repro.parallel import WorkerPool, fork_available
 
 #: Small-but-representative generator shape for smoke tests.
 SMOKE = SyntheticConfig(n_slots=4, n_regions=4, max_depth=2)
@@ -188,6 +192,104 @@ def test_corpus_regeneration_is_stable(tmp_path):
         with open(tmp_path / "b" / entry_b["file"]) as handle:
             text_b = handle.read()
         assert text_a == text_b  # growing the corpus never rewrites
+
+
+# ----------------------------------------------------------------------
+# The pooled path: ``oracle`` and ``cache`` run in the pool's workers
+# ----------------------------------------------------------------------
+fork_only = pytest.mark.skipif(not fork_available(),
+                               reason="WorkerPool needs the fork start "
+                                      "method")
+
+
+def _outcome(result):
+    return result.divergences, result.moves, result.functions
+
+
+@fork_only
+def test_pooled_check_module_equals_serial():
+    programs = [_program(seed, profile, n_functions=2)
+                for seed, profile in ((0, "default"), (1, "irreducible"),
+                                      (2, "swap-webs"))]
+    serial = [check_module(source, verify, jobs=2)
+              for source, verify in programs]
+    with WorkerPool(2) as pool:
+        pooled = [check_module(source, verify, jobs=2, pool=pool)
+                  for source, verify in programs]
+        assert pool.respawns == 0
+    assert [_outcome(r) for r in pooled] == [_outcome(r) for r in serial]
+    assert all(result.moves for result in serial)
+
+
+@fork_only
+def test_pooled_injected_failures_keep_their_order(monkeypatch):
+    original_oracle = differential.oracle_cross_check
+    original_run = differential.run_experiment
+
+    def mismatching_oracle(function, *args, **kwargs):
+        return original_oracle(function, *args, **kwargs) \
+            + [f"{function.name}: injected"]
+
+    def skewed_run(module, name, **kwargs):
+        result = original_run(module, name, **kwargs)
+        if kwargs.get("cache") is not None:  # the cache check's runs
+            del result.module.functions[next(iter(result.module.functions))]
+        return result
+
+    monkeypatch.setattr(differential, "oracle_cross_check",
+                        mismatching_oracle)
+    monkeypatch.setattr(differential, "run_experiment", skewed_run)
+    source, verify = _program(4, n_functions=2, config=SMOKE)
+    serial = check_module(source, verify, jobs=2)
+    with WorkerPool(2) as pool:  # forks at its first submission
+        pooled = check_module(source, verify, jobs=2, pool=pool)
+    assert _outcome(pooled) == _outcome(serial)
+    divergences = pooled.divergences
+    assert len(set(divergences)) == len(divergences)
+    assert [(d.check, d.kind) for d in divergences] == \
+        [("oracle", "mismatch")] * 2 + [("cache", "mismatch")] * 2
+
+
+@fork_only
+def test_pooled_check_survives_a_killed_worker(monkeypatch, tmp_path):
+    parent = os.getpid()
+    original_oracle = differential.oracle_cross_check
+
+    def dying_oracle(function, *args, **kwargs):
+        if os.getpid() != parent:  # only in a pool worker
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original_oracle(function, *args, **kwargs)
+
+    monkeypatch.setattr(differential, "oracle_cross_check", dying_oracle)
+    # The other worker dies with the pool, maybe mid cache round trip.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    source, verify = _program(5, n_functions=2, config=SMOKE)
+    serial = check_module(source, verify, jobs=2)
+    with WorkerPool(2) as pool:
+        pooled = check_module(source, verify, jobs=2, pool=pool)
+        assert pool.respawns == 1
+        assert pool.ping()
+    assert _outcome(pooled) == _outcome(serial)
+    assert serial.ok, [d.describe() for d in serial.divergences]
+
+
+@fork_only
+def test_pooled_oracle_check_runs_in_a_worker(monkeypatch):
+    def crashing_oracle(function, *args, **kwargs):
+        raise RuntimeError("parent ran the oracle")
+
+    source, verify = _program(6, n_functions=2, config=SMOKE)
+    with WorkerPool(2) as pool:
+        assert pool.warm()  # workers keep the real oracle_cross_check
+        monkeypatch.setattr(differential, "oracle_cross_check",
+                            crashing_oracle)
+        pooled = check_module(source, verify, jobs=2, pool=pool)
+    serial = check_module(source, verify, jobs=2)
+    assert pooled.ok, [d.describe() for d in pooled.divergences]
+    assert {(d.check, d.kind) for d in serial.divergences} == \
+        {("oracle", "mismatch")}
+    assert all("parent ran the oracle" in d.detail
+               for d in serial.divergences)
 
 
 # ----------------------------------------------------------------------
