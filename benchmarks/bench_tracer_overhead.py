@@ -1,23 +1,19 @@
-"""Observability overhead guard: the null tracer and the null metrics
-registry must be free.
+"""Observability overhead guard: the null tracer must be free.
 
-``run_phases`` installs :data:`~repro.observability.NULL_TRACER` /
-:data:`~repro.observability.NULL_METRICS` when no tracer or registry
-is passed; the design contract (docs/observability.md) is that the
-uninstrumented pipeline pays only pointer comparisons -- no snapshots,
-no record allocation, no counter dictionaries, no perf-counter reads.
-Two angles:
+``run_phases`` installs :data:`~repro.observability.NULL_TRACER` when
+no tracer is passed; the design contract (docs/observability.md) is
+that the uninstrumented pipeline pays only pointer comparisons -- no
+snapshots, no record allocation, no counter dictionaries.  Two angles:
 
-* ``test_null_vs_traced_timing`` / ``test_metrics_cost_report``
-  benchmark the same experiment with and without each recorder and
-  print the measured instrumentation cost, so regressions show up in
-  the pytest-benchmark history next to ``bench_compile_time.py``
-  (whose numbers *are* the null path and must stay within noise of
-  the seed).
-* the structural zero-overhead proofs -- that the null path never
-  calls the per-phase snapshot machinery or the histogram observe
-  path at all -- live in ``tests/test_observability.py`` and run with
-  the tier-1 suite.
+* ``test_null_tracer_timing`` / ``test_recording_tracer_timing`` /
+  ``test_tracing_cost_report`` benchmark the same experiment with and
+  without the recording tracer and print the measured instrumentation
+  cost, so regressions show up in the pytest-benchmark history next to
+  ``bench_compile_time.py`` (whose numbers *are* the null path and
+  must stay within noise of the seed).
+* the structural zero-overhead proof -- that the null path never calls
+  the per-phase snapshot machinery at all -- lives in
+  ``tests/test_observability.py`` and runs with the tier-1 suite.
 """
 
 import time
@@ -25,7 +21,7 @@ import time
 import pytest
 
 from repro.interp import CompiledInterpreter
-from repro.observability import MetricsRegistry, Tracer
+from repro.observability import Tracer
 from repro.pipeline import run_experiment
 
 SUITE_NAME = "VALcc1"
@@ -78,33 +74,6 @@ def test_tracing_cost_report(benchmark, suites, capsys):
     assert ratio < 3.0, (
         f"recording tracer is {ratio:.2f}x the null pipeline -- "
         f"instrumentation has leaked into a hot loop")
-
-
-def test_metrics_cost_report(benchmark, suites, capsys):
-    """Print the null-vs-recording metrics ratio; fail on blowups.
-
-    The registry's hot-path cost is a handful of perf-counter reads
-    and dict lookups per function, far cheaper than the tracer's IR
-    snapshots, so its budget is tighter -- and the null-registry run
-    must stay indistinguishable from no registry at all (the
-    structural proof in tests/test_observability.py pins that no
-    observe() happens; this pins that whatever remains is cheap).
-    """
-    run_once_noop = lambda: None
-    benchmark.pedantic(run_once_noop, rounds=1, iterations=1)
-    suite = suites[SUITE_NAME]
-    null_s = _median_seconds(lambda: run_experiment(suite.module, EXPERIMENT))
-    metered_s = _median_seconds(
-        lambda: run_experiment(suite.module, EXPERIMENT,
-                               metrics=MetricsRegistry()))
-    ratio = metered_s / null_s
-    with capsys.disabled():
-        print(f"\nno registry: {null_s * 1e3:.1f} ms   "
-              f"recording registry: {metered_s * 1e3:.1f} ms   "
-              f"ratio: {ratio:.3f}")
-    assert ratio < 2.0, (
-        f"metrics registry is {ratio:.2f}x the null pipeline -- "
-        f"histogram bookkeeping has leaked into a hot loop")
 
 
 def test_compiled_interp_tracing_cost_report(benchmark, suites, capsys):

@@ -53,7 +53,7 @@ class TableCollector:
 
     When benchmarks hand over the full
     :class:`~repro.pipeline.ExperimentResult` (``result=``), its
-    ``repro.stats/v1`` document is stashed too, and :meth:`save` writes
+    ``repro.stats/v2`` document is stashed too, and :meth:`save` writes
     a ``<table>.stats.json`` collection next to the legacy counts --
     the same schema the CLI emits, so trajectory tooling can consume
     benchmark output and ``repro tables --stats-json`` interchangeably.

@@ -1,24 +1,23 @@
 #!/usr/bin/env python
-"""Compare two stats JSON files ignoring timing fields.
+"""Compare the ``result`` blocks of two stats JSON files.
 
 Usage::
 
-    python benchmarks/diff_stats.py SERIAL.json PARALLEL.json
+    python benchmarks/diff_stats.py LEFT.json RIGHT.json
 
-The parallel engine (``--jobs``) promises that every *non-timing*
-field of a ``repro.stats`` document is identical at any job count.
-This script enforces that promise in CI: it loads two documents (or
-``repro.stats-collection`` files), strips the documented
-non-deterministic fields and reports the first path at which the
-remainders differ.  The same stripping makes it the tool for diffing
-a cache-hot against a cache-cold run (see docs/caching.md).
+A ``repro.stats/v2`` document keeps what a run produced in ``result``
+and how it ran (timing, pool shape, cache traffic) in ``env``.  The
+parallel engine (``--jobs``) promises an identical ``result`` at any
+job count, and the persistent cache the same cache-hot and cache-cold;
+this script enforces both promises in CI.  It loads two documents (or
+``repro.stats-collection`` files) and reports the first path at which
+their runs' experiment names or ``result`` blocks differ.
 
-The stripping rules themselves live in
-:mod:`repro.observability.statdiff` -- one implementation shared with
-``stats_digest``, the digest ``repro serve`` returns per response, so
-what this gate compares and what the digest fingerprints can never
-drift apart.  Exit status 0 means equal, 1 means a real divergence, 2
-means usage/IO error.
+What is compared lives in :mod:`repro.observability.statdiff` -- one
+definition shared with ``stats_digest``, the digest ``repro serve``
+returns per response, so what this gate compares and what the digest
+fingerprints can never drift apart.  Exit status 0 means equal, 1
+means a real divergence, 2 means usage/IO error.
 """
 
 import json
@@ -30,7 +29,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.observability.statdiff import (  # noqa: E402
-    first_difference, strip_timing)
+    first_difference, result_blocks)
 
 
 def main(argv):
@@ -38,20 +37,20 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     try:
-        with open(argv[1]) as handle:
-            left = json.load(handle)
-        with open(argv[2]) as handle:
-            right = json.load(handle)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
+        blocks = []
+        for path in argv[1:]:
+            with open(path) as handle:
+                blocks.append(result_blocks(json.load(handle)))
+    except (OSError, ValueError, KeyError) as error:
+        print(f"error: {error!r}", file=sys.stderr)
         return 2
-    found = first_difference(strip_timing(left), strip_timing(right))
+    found = first_difference(*blocks)
     if found:
         path, a, b = found
         print(f"STATS DIVERGED at {path}:\n  {argv[1]}: {a!r}\n"
               f"  {argv[2]}: {b!r}", file=sys.stderr)
         return 1
-    print(f"stats identical modulo timing: {argv[1]} == {argv[2]}")
+    print(f"stats results identical: {argv[1]} == {argv[2]}")
     return 0
 
 

@@ -49,7 +49,7 @@ oracle's lifetime; the :class:`~repro.analysis.manager.AnalysisManager`
 epoch-invalidates the oracle itself whenever the function mutates.
 Hit/miss totals accumulate in a shared :class:`OracleStats` (one per
 manager) and surface as ``oracle_hits``/``oracle_misses`` in the
-``analysis_cache`` stats block (``repro.stats/v1.3``).
+``env.analysis_cache`` stats block (``repro.stats/v2``).
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ when the previous phase changed nothing the analysis depends on
   they keep valid by construction despite the bump; those entries are
   re-stamped instead of dropped.  Everything else stale is evicted
   eagerly so the cache never grows unbounded across a pipeline run.
-* Hit/miss/invalidation totals are exported via :meth:`stats` and
-  mirrored onto the observability tracer's counters
-  (``analysis.hits`` ...), landing in the ``repro.stats`` payload.
+* Hit/miss/invalidation totals are exported via :meth:`stats` /
+  :meth:`stats_since`, the ``env.analysis_cache`` block of a
+  ``repro.stats`` document.
 
 The manager hands every consumer the *same* object, which is what makes
 the shared :class:`~repro.analysis.bitset.VarIndex` numbering pay off:
@@ -54,19 +54,13 @@ _CFG_KEYED = frozenset({"domtree", "loops"})
 class AnalysisManager:
     """Per-function analysis cache with epoch-based invalidation."""
 
-    def __init__(self, tracer=None) -> None:
-        from ..observability import resolve as resolve_tracer
-
+    def __init__(self) -> None:
         self._cache: dict[Function, dict[str, tuple[int, object]]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.preserved = 0
         self.oracle_stats = OracleStats()
-        tracer = resolve_tracer(tracer)
-        self._hit_counter = tracer.counter("analysis.hits")
-        self._miss_counter = tracer.counter("analysis.misses")
-        self._invalidation_counter = tracer.counter("analysis.invalidations")
 
     # ------------------------------------------------------------------
     # Cache core
@@ -84,10 +78,8 @@ class AnalysisManager:
         cached = entry.get(kind)
         if cached is not None and cached[0] == epoch:
             self.hits += 1
-            self._hit_counter.add()
             return cached[1]
         self.misses += 1
-        self._miss_counter.add()
         analysis = build()
         entry[kind] = (epoch, analysis)
         return analysis
@@ -121,10 +113,9 @@ class AnalysisManager:
             else:
                 del entry[kind]
                 self.invalidations += 1
-                self._invalidation_counter.add()
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot for the ``repro.stats`` payload."""
+        """Counter snapshot (the ``env.analysis_cache`` block)."""
         return {"hits": self.hits, "misses": self.misses,
                 "invalidations": self.invalidations,
                 "preserved": self.preserved,

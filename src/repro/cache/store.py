@@ -32,7 +32,7 @@ Concurrency model -- the one the parallel driver
   other evictors are ignored.
 
 Per-instance counters (``hits``/``misses``/``stores``/``evictions``/
-``corrupt``/``bytes``) feed the ``cache`` block of ``repro.stats/v1.5``
+``corrupt``/``bytes``) feed the ``env.cache`` block of ``repro.stats/v2``
 documents; the parallel driver sums them across forked workers.
 """
 

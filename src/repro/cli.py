@@ -22,9 +22,9 @@ Usage (also via ``python -m repro``):
 The compiler prints the transformed module to stdout (or ``-o FILE``)
 plus a statistics footer on stderr, so output can be piped or diffed.
 ``--trace`` writes a Chrome ``trace_event`` file for ``chrome://tracing``
-and ``--stats-json`` a ``repro.stats/v1`` document; ``--metrics``
-enables the counter/gauge/histogram registry (embedded in the stats
-document; see docs/observability.md).
+and ``--stats-json`` a ``repro.stats/v2`` document: the run's
+deterministic ``result`` beside its ``env`` (timing, pool shape, cache
+traffic; see docs/observability.md).
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from typing import Optional, Sequence
 from .interp import InterpreterError, run_module
 from .ir.printer import format_module
 from .lai import LaiSyntaxError, parse_module
-from .observability import (COLLECTION_SCHEMA, MetricsRegistry, Tracer,
-                            pass_profile, phase_table, summary,
-                            write_chrome_trace)
-from .observability.metrics import METRICS_ENV
+from .observability import (COLLECTION_SCHEMA, Tracer, pass_profile,
+                            phase_table, summary, write_chrome_trace)
 from .pipeline import (EXPERIMENTS, PhaseOptions, run_experiment,
                        run_experiments, run_table, table5_variants)
 
@@ -80,12 +78,6 @@ def _write_json(path: str, document: dict) -> None:
         handle.write("\n")
 
 
-def _wants_metrics(args) -> bool:
-    """``--metrics`` or a non-empty ``$REPRO_METRICS``."""
-    return bool(getattr(args, "metrics", False)
-                or os.environ.get(METRICS_ENV))
-
-
 def cmd_compile(args) -> int:
     module = _load(args.file)
     verify = None
@@ -111,15 +103,15 @@ def cmd_compile(args) -> int:
         print(format_module(shown), file=sys.stderr)
 
     tracer = _tracer_for(args)
-    metrics = MetricsRegistry() if _wants_metrics(args) else None
     result = run_experiment(module, args.experiment,
                             options=_options(args), verify=verify,
                             tracer=tracer, jobs=args.jobs,
-                            cache=args.cache_dir, metrics=metrics)
+                            cache=args.cache_dir)
+    document = result.to_stats()
     if args.trace:
         write_chrome_trace(tracer, args.trace)
     if args.stats_json:
-        _write_json(args.stats_json, result.to_stats())
+        _write_json(args.stats_json, document)
     text = format_module(result.module)
     if args.output:
         with open(args.output, "w") as handle:
@@ -130,7 +122,7 @@ def cmd_compile(args) -> int:
           f"weighted={result.weighted} "
           f"instructions={result.instructions}", file=sys.stderr)
     if args.verbose:
-        print(phase_table(result.phase_breakdown), file=sys.stderr)
+        print(phase_table(document), file=sys.stderr)
         print(summary(tracer), file=sys.stderr)
     if args.profile_passes:
         print(pass_profile(tracer), file=sys.stderr)
@@ -157,12 +149,10 @@ def cmd_run(args) -> int:
 
 def cmd_experiments(args) -> int:
     module = _load(args.file)
-    results = run_experiments(
-        module, tracer=Tracer, jobs=args.jobs, cache=args.cache_dir,
-        metrics=MetricsRegistry if _wants_metrics(args) else None)
-    document = {"schema": COLLECTION_SCHEMA,
-                "runs": [r.to_stats() for r in results]} \
-        if args.stats_json or args.format == "json" else None
+    results = run_experiments(module, tracer=Tracer, jobs=args.jobs,
+                              cache=args.cache_dir)
+    runs = [r.to_stats() for r in results]
+    document = {"schema": COLLECTION_SCHEMA, "runs": runs}
     if args.stats_json:
         _write_json(args.stats_json, document)
     if args.format == "json":
@@ -172,9 +162,9 @@ def cmd_experiments(args) -> int:
         for result in results:
             print(f"{result.name:<14}{result.moves:>7}{result.weighted:>10}"
                   f"{result.instructions:>8}")
-        for result in results:
-            print(f"\n-- {result.name}: per-phase breakdown --")
-            print(phase_table(result.phase_breakdown))
+        for run in runs:
+            print(f"\n-- {run['experiment']}: per-phase breakdown --")
+            print(phase_table(run))
     return 0
 
 
@@ -195,9 +185,7 @@ def cmd_tables(args) -> int:
                 results = run_table(
                     suite.module, table,
                     tracer=Tracer if args.stats_json else None,
-                    jobs=args.jobs, cache=args.cache_dir, pool=pool,
-                    metrics=MetricsRegistry if _wants_metrics(args)
-                    else None)
+                    jobs=args.jobs, cache=args.cache_dir, pool=pool)
                 cells = []
                 for result in results:
                     value = result.weighted if args.weighted \
@@ -415,16 +403,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
     _add_interp(parser)
 
 
-def _add_metrics(parser: argparse.ArgumentParser) -> None:
-    # Not on ``serve``: the server always meters, live via its
-    # ``metrics`` op.
-    parser.add_argument("--metrics", action="store_true",
-                        help="record counters/gauges/latency histograms "
-                             "into the stats document's 'metrics' block "
-                             "(also enabled by a non-empty "
-                             "$REPRO_METRICS; zero overhead when off)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -452,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(open in chrome://tracing or Perfetto)")
     compile_p.add_argument("--stats-json", metavar="FILE",
                            help="write per-phase stats as a "
-                                "repro.stats/v1 JSON document")
+                                "repro.stats/v2 JSON document")
     compile_p.add_argument("-v", "--verbose", action="store_true",
                            help="print the per-phase breakdown and span "
                                 "summary to stderr")
@@ -461,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(span duration minus nested spans, "
                                 "aggregated by pass name) to stderr")
     _add_jobs(compile_p)
-    _add_metrics(compile_p)
     compile_p.set_defaults(fn=cmd_compile)
 
     run_p = sub.add_parser("run", help="interpret a function")
@@ -484,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--stats-json", metavar="FILE",
                        help="also write the stats collection here")
     _add_jobs(exp_p)
-    _add_metrics(exp_p)
     exp_p.set_defaults(fn=cmd_experiments)
 
     tables_p = sub.add_parser(
@@ -495,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write every run's stats as a "
                                "repro.stats-collection/v1 JSON document")
     _add_jobs(tables_p)
-    _add_metrics(tables_p)
     tables_p.set_defaults(fn=cmd_tables)
 
     serve_p = sub.add_parser(

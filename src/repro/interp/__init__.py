@@ -34,7 +34,7 @@ import os
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .compiled import (CompiledInterpreter, clear_code_cache,
+from .compiled import (CODE_CACHE, CompiledInterpreter, clear_code_cache,
                        code_cache_size, compile_function)
 from .interpreter import (DEFAULT_MAX_STEPS, Interpreter,
                           InterpreterError, Trace)
@@ -162,7 +162,7 @@ def run_function(function: Function, args: Sequence[int] = (),
                       tracer=tracer, tier=tier)
 
 
-__all__ = ["CompiledInterpreter", "DEFAULT_MAX_STEPS", "INTERP_ENV",
+__all__ = ["CODE_CACHE", "CompiledInterpreter", "DEFAULT_MAX_STEPS", "INTERP_ENV",
            "Interpreter", "InterpreterError", "TIERS", "TierDivergence",
            "Trace", "clear_code_cache", "code_cache_size",
            "compile_function", "resolve_tier", "run_function",

@@ -46,8 +46,9 @@ keyed on ``(fn.epoch, fn.cfg_epoch)`` in a module-level weak-key map,
 so repeated verify runs of unchanged IR (fuzz sweeps, serve warm
 requests, corpus gates) skip recompilation entirely; any IR mutation
 bumps an epoch and invalidates the entry.  Cache traffic and compile
-time are observable through the ``interp.code_cache.hits`` /
-``interp.code_cache.misses`` / ``interp.compile_ns`` tracer counters.
+time are read through :meth:`CodeCache.stats` /
+:meth:`CodeCache.stats_since` on :data:`CODE_CACHE` (the ``interp``
+block of a stats document's ``env``).
 
 Tier selection (``REPRO_INTERP=compiled|reference|both``) lives in
 :mod:`repro.interp`; this module only knows how to compile and run.
@@ -599,29 +600,76 @@ def opcode_err_msg(opcode: str) -> str:
 
 def compile_function(function: Function) -> CompiledFunction:
     """Compile *function* to closures (no caching -- see
-    :meth:`CompiledInterpreter._code` / :data:`_CODE_CACHE`)."""
+    :data:`CODE_CACHE`)."""
     return _Compiler(function).compile()
 
 
 # ----------------------------------------------------------------------
 # The epoch-keyed code cache
 # ----------------------------------------------------------------------
-#: ``Function -> (epoch, cfg_epoch, CompiledFunction)``.  Weak keys:
-#: compiled code dies with its function, so fuzz sweeps over millions
-#: of throwaway modules cannot grow the cache.  An epoch mismatch is a
-#: miss and the entry is replaced (the stale code is unreachable).
-_CODE_CACHE: "weakref.WeakKeyDictionary[Function, tuple]" = \
-    weakref.WeakKeyDictionary()
+class CodeCache:
+    """``Function -> (epoch, cfg_epoch, CompiledFunction)`` plus its
+    traffic counters.
+
+    Weak keys: compiled code dies with its function, so fuzz sweeps over
+    millions of throwaway modules cannot grow the cache.  An epoch
+    mismatch is a miss and the entry is replaced (the stale code is
+    unreachable).  The cache is process-global, so what one run sees
+    depends on what ran before it: a run reports
+    :meth:`stats_since` a :meth:`stats` mark taken when it started.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "weakref.WeakKeyDictionary[Function, tuple]" = \
+            weakref.WeakKeyDictionary()
+        self.hits = 0
+        self.misses = 0
+        self.compile_ns = 0
+
+    def lookup(self, function: Function) -> CompiledFunction:
+        """*function*'s compiled code, compiling it on a miss."""
+        entry = self._entries.get(function)
+        if entry is not None and entry[0] == function.epoch \
+                and entry[1] == function.cfg_epoch:
+            self.hits += 1
+            return entry[2]
+        start = time.perf_counter_ns()
+        code = compile_function(function)
+        self.compile_ns += time.perf_counter_ns() - start
+        self.misses += 1
+        self._entries[function] = (function.epoch, function.cfg_epoch,
+                                   code)
+        return code
+
+    def stats(self) -> dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses,
+                "compile_ns": self.compile_ns}
+
+    def stats_since(self, mark: dict[str, int]) -> dict[str, int]:
+        """The counter deltas since a :meth:`stats` snapshot."""
+        return {name: value - mark[name]
+                for name, value in self.stats().items()}
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: The process-wide code cache every :class:`CompiledInterpreter` uses.
+CODE_CACHE = CodeCache()
 
 
 def clear_code_cache() -> None:
-    """Drop every cached compilation (tests and benchmarks)."""
-    _CODE_CACHE.clear()
+    """Drop every cached compilation (tests and benchmarks); the
+    traffic counters keep counting."""
+    CODE_CACHE.clear()
 
 
 def code_cache_size() -> int:
     """Number of functions with live cached code."""
-    return len(_CODE_CACHE)
+    return len(CODE_CACHE)
 
 
 # ----------------------------------------------------------------------
@@ -683,22 +731,7 @@ class CompiledInterpreter:
 
     # ------------------------------------------------------------------
     def _code(self, function: Function) -> CompiledFunction:
-        entry = _CODE_CACHE.get(function)
-        if entry is not None and entry[0] == function.epoch \
-                and entry[1] == function.cfg_epoch:
-            if self.tracer.enabled:
-                self.tracer.count("interp.code_cache.hits")
-            return entry[2]
-        if self.tracer.enabled:
-            start = time.perf_counter_ns()
-            code = compile_function(function)
-            self.tracer.count("interp.compile_ns",
-                              time.perf_counter_ns() - start)
-            self.tracer.count("interp.code_cache.misses")
-        else:
-            code = compile_function(function)
-        _CODE_CACHE[function] = (function.epoch, function.cfg_epoch, code)
-        return code
+        return CODE_CACHE.lookup(function)
 
     def _dispatch(self, callee: str, args: list, depth: int) -> list:
         """Resolve *callee* (memoized per run) and invoke it."""

@@ -9,40 +9,36 @@ Public surface:
   (Chrome ``trace_event`` format), :func:`summary`,
   :func:`phase_table` and :func:`pass_profile` /
   :func:`pass_self_times` (human-readable), :func:`jsonable`;
-* schema -- :func:`validate_stats` and the ``repro.stats/v1`` document
-  contract (see :mod:`.schema` and ``docs/observability.md``);
-* metrics -- :class:`MetricsRegistry` / :data:`NULL_METRICS`, the
-  counter/gauge/latency-histogram registry with deterministic
-  snapshots, cross-worker merge and Prometheus text exposition (see
-  :mod:`.metrics`);
-* statdiff -- :func:`strip_timing` / :func:`stats_digest`, the shared
-  timing-stripping rules (see :mod:`.statdiff`).
+* schema -- :func:`validate_stats` and the ``repro.stats/v2`` document
+  contract, ``{schema, experiment, result, env}`` (see :mod:`.schema`
+  and ``docs/observability.md``);
+* metrics -- :class:`MetricsRegistry`, the counter/gauge/
+  latency-histogram registry behind ``repro serve``'s live metrics
+  endpoint, with Prometheus text exposition (see :mod:`.metrics`);
+* statdiff -- :func:`stats_digest` / :func:`result_blocks`, which
+  compare runs by their ``result`` blocks (see :mod:`.statdiff`).
 
 Every instrumented entry point (``run_phases``, ``coalesce_phis``,
 ``sreedhar_to_cssa``, ``aggressive_coalesce``, the interpreter) takes an
-optional ``tracer`` keyword defaulting to ``None`` == :data:`NULL_TRACER`;
-``run_phases``/``run_experiment`` additionally take an optional
-``metrics`` keyword defaulting to ``None`` == :data:`NULL_METRICS`.
+optional ``tracer`` keyword defaulting to ``None`` == :data:`NULL_TRACER`.
 """
 
 from .exporters import (chrome_trace_events, chrome_trace_json, jsonable,
                         pass_profile, pass_self_times, phase_table,
                         summary, write_chrome_trace)
-from .metrics import (BUCKET_BOUNDS, NULL_METRICS, MetricsRegistry,
-                      NullMetrics, prometheus_text, resolve_metrics)
+from .metrics import BUCKET_BOUNDS, MetricsRegistry, prometheus_text
 from .schema import (COLLECTION_SCHEMA, DELTA_KEYS, SNAPSHOT_KEYS,
                      STATS_SCHEMA, SchemaError, validate_stats,
                      validate_stats_file)
-from .statdiff import first_difference, stats_digest, strip_timing
+from .statdiff import first_difference, result_blocks, stats_digest
 from .tracer import (NULL_TRACER, EventRecord, NullTracer, SpanRecord,
                      Tracer, resolve)
 
 __all__ = [
     "NULL_TRACER", "NullTracer", "Tracer", "SpanRecord", "EventRecord",
     "resolve",
-    "NULL_METRICS", "NullMetrics", "MetricsRegistry", "BUCKET_BOUNDS",
-    "resolve_metrics", "prometheus_text",
-    "strip_timing", "first_difference", "stats_digest",
+    "MetricsRegistry", "BUCKET_BOUNDS", "prometheus_text",
+    "result_blocks", "first_difference", "stats_digest",
     "chrome_trace_events", "chrome_trace_json", "write_chrome_trace",
     "summary", "phase_table", "pass_profile", "pass_self_times",
     "jsonable",

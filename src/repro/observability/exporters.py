@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Iterable
 
 from .tracer import Tracer
 
@@ -95,19 +94,20 @@ def _ms(ns: int) -> str:
     return f"{ns / 1e6:.2f}"
 
 
-def phase_table(breakdown: Iterable[dict]) -> str:
-    """Render an :class:`~repro.pipeline.ExperimentResult`'s per-phase
-    breakdown as the time/delta table printed by ``repro experiments``
-    and ``repro compile -v``."""
-    rows = list(breakdown)
+def phase_table(document: dict) -> str:
+    """Render a stats document's per-phase breakdown -- ``env.phases``
+    timing beside ``result.phases`` deltas -- as the time/delta table
+    printed by ``repro experiments`` and ``repro compile -v``."""
+    rows = list(zip(document["env"]["phases"],
+                    document["result"]["phases"]))
     if not rows:
         return "(no per-phase stats: run with a tracer installed)"
     lines = [f"{'phase':<20}{'time(ms)':>10}{'dmoves':>8}"
              f"{'dinstrs':>9}{'dphis':>7}"]
-    for entry in rows:
+    for timing, entry in rows:
         delta = entry["delta"]
         lines.append(
-            f"{entry['phase']:<20}{_ms(entry['duration_ns']):>10}"
+            f"{entry['phase']:<20}{_ms(timing['duration_ns']):>10}"
             f"{delta['moves']:>+8d}{delta['instructions']:>+9d}"
             f"{delta['phis']:>+7d}")
     return "\n".join(lines)

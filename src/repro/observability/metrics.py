@@ -1,44 +1,25 @@
 """The metrics registry: counters, gauges and latency histograms.
 
 The tracer (:mod:`.tracer`) answers "what happened inside *this* run";
-the registry answers the service-shaped question "how is the compiler
-behaving *over* runs" -- the per-function compile-time distribution,
-per-phase self time, cache probe/store latency and interference-oracle
-query traffic that a live metrics endpoint wants to expose.  Three
-instrument kinds:
+the registry answers the service-shaped question "how is the server
+behaving *over* its lifetime".  ``repro serve`` holds one for its whole
+life (request latency, batch sizes, cache traffic) and exposes it
+through its ``metrics`` op and ``GET /metrics``.  Three instrument
+kinds:
 
 * **counters** -- named monotone totals (``registry.counter(
-  "cache.hits").inc()``);
-* **gauges** -- last-written values (``registry.gauge(
-  "cache.bytes").set(n)``); merged across workers by taking the max;
+  "serve.requests").inc()``);
+* **gauges** -- last-written values (``registry.gauge(name).set(n)``);
 * **histograms** -- distributions over *fixed* log-spaced bucket
   ladders (:data:`BUCKET_BOUNDS`, powers of two from 1µs, for
   latencies; :data:`COUNT_BOUNDS`, powers of four, for sizes such as
-  oracle query batches).  The ladder is a property of the metric, not
-  of the process, so the same histogram from different ``--jobs``
-  workers merges by plain element-wise addition of its bucket counts.
+  batch sizes).  The ladder is a property of the metric, not of the
+  process.
 
-Determinism contract: :meth:`MetricsRegistry.snapshot` emits sorted
-keys and plain JSON types, :meth:`MetricsRegistry.merge` is commutative
-and associative (sums and maxes only), so merged snapshots are
-independent of worker arrival order.  The *values* of latency
-histograms are wall-clock measurements and therefore non-deterministic
-across runs; the observation **counts** are not (one per function, one
-per phase, one per cache probe) -- ``tests/test_metrics_registry.py``
-pins both halves of that contract.
-
-Like the tracer, the default everywhere is the zero-overhead
-:data:`NULL_METRICS` singleton: every accessor returns a shared no-op
-instrument, no dictionaries are touched and no records allocated, so
-the uninstrumented pipeline hot path stays allocation-free (guarded
-structurally in ``tests/test_observability.py`` and by timing in
-``benchmarks/bench_tracer_overhead.py``).  Hot loops must guard
-argument construction behind ``if metrics.enabled``.
-
-Prometheus text exposition (:func:`prometheus_text`) renders a
+:meth:`MetricsRegistry.snapshot` emits sorted keys and plain JSON
+types.  Prometheus text exposition (:func:`prometheus_text`) renders a
 snapshot in the classic ``# TYPE`` / sample-line format --
-``repro_phase_seconds_bucket{phase="ssa",le="0.000512"} 3`` -- and is
-what the ``repro serve`` ``metrics`` op and ``GET /metrics`` return.
+``repro_serve_request_seconds_bucket{le="0.000512"} 3``.
 """
 
 from __future__ import annotations
@@ -49,16 +30,13 @@ from __future__ import annotations
 BUCKET_BOUNDS: tuple[float, ...] = tuple(
     1e-6 * (1 << i) for i in range(28))
 
-#: The size/count ladder (oracle query batches, functions per shard):
+#: The size/count ladder (batch sizes):
 #: powers of four from 1 up to ~10^9.
 COUNT_BOUNDS: tuple[float, ...] = tuple(
     float(4 ** i) for i in range(16))
 
-#: Percentiles reported by :meth:`Histogram.percentiles` and embedded
-#: in stats-document ``metrics`` blocks.
+#: Percentiles reported by :meth:`Histogram.percentiles`.
 PERCENTILES = (50, 90, 99)
-
-METRICS_ENV = "REPRO_METRICS"
 
 
 def _bucket_index(bounds: tuple[float, ...], value: float) -> int:
@@ -109,60 +87,7 @@ def split_key(key: str) -> tuple[str, dict]:
 
 
 # ----------------------------------------------------------------------
-# Null instruments -- the zero-overhead default
-# ----------------------------------------------------------------------
-class _NullInstrument:
-    """Shared no-op counter/gauge/histogram."""
-
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """The zero-overhead default registry; every accessor hands back
-    one shared no-op instrument.  Prefer :data:`NULL_METRICS`."""
-
-    enabled = False
-    __slots__ = ()
-
-    def counter(self, name: str, **labels):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, bounds=None, **labels):
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def merge(self, snapshot: dict) -> None:
-        pass
-
-
-NULL_METRICS = NullMetrics()
-
-
-def resolve_metrics(metrics) -> NullMetrics:
-    """Normalize an optional ``metrics=`` argument: ``None`` -> the
-    null singleton, anything else passes through unchanged."""
-    return NULL_METRICS if metrics is None else metrics
-
-
-# ----------------------------------------------------------------------
-# Recording instruments
+# Instruments
 # ----------------------------------------------------------------------
 class Counter:
     """A monotone total; a pre-bound handle like the tracer's."""
@@ -195,8 +120,8 @@ class Histogram:
 
     ``counts`` has ``len(bounds) + 1`` slots, the last being the +Inf
     overflow bucket; ``sum``/``count`` accumulate alongside so
-    averages need no bucket arithmetic.  One registry key must always
-    use one ladder -- the merge contract.
+    averages need no bucket arithmetic.  One registry key always uses
+    the ladder it was first created with.
     """
 
     __slots__ = ("bounds", "counts", "sum", "count")
@@ -232,9 +157,8 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """The recording registry.  See the module docstring for the model."""
+    """The registry.  See the module docstring for the model."""
 
-    enabled = True
     __slots__ = ("counters", "gauges", "histograms")
 
     def __init__(self) -> None:
@@ -269,9 +193,8 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """The registry as a deterministic plain-JSON document (sorted
-        keys, lists and numbers only) -- the ``metrics`` block of a
-        ``repro.stats/v1.5`` document and the mergeable wire format
-        workers send back."""
+        keys, lists and numbers only) -- what :func:`prometheus_text`
+        renders."""
         histograms = {}
         for key in sorted(self.histograms):
             h = self.histograms[key]
@@ -289,29 +212,6 @@ class MetricsRegistry:
                        for key in sorted(self.gauges)},
             "histograms": histograms,
         }
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold one :meth:`snapshot` document into this registry:
-        counters and histogram buckets add, gauges take the max.
-        Integer addition and max are commutative/associative, so every
-        integer field of merged worker snapshots is independent of
-        arrival order -- the parallel driver's determinism contract
-        (float ``sum`` fields are order-free only up to addition
-        reassociation; the driver merges in shard-index order so even
-        those are reproducible for a fixed job count)."""
-        if not snapshot:
-            return
-        for key, value in snapshot.get("counters", {}).items():
-            self.counter(key).inc(value)
-        for key, value in snapshot.get("gauges", {}).items():
-            gauge = self.gauge(key)
-            gauge.value = max(gauge.value, value)
-        for key, doc in snapshot.get("histograms", {}).items():
-            h = self.histogram(key, bounds=tuple(doc["buckets"]))
-            for i, n in enumerate(doc["counts"]):
-                h.counts[i] += n
-            h.sum += doc["sum"]
-            h.count += doc["count"]
 
     def to_prometheus(self) -> str:
         """This registry in Prometheus text-exposition format."""

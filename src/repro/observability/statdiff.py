@@ -1,26 +1,19 @@
-"""Timing-stripped stats comparison -- the shared diffing rules.
+"""Stats comparison -- the ``result`` block is what two runs share.
 
-The parallel engine (``--jobs``) promises that every *non-timing* field
-of a ``repro.stats`` document is identical at any job count, and the
-persistent cache promises the same across cache temperatures for every
-paper metric and decision counter.  :func:`strip_timing` removes
-exactly the documented non-deterministic fields so two documents can
-be compared for the promises that *do* hold:
-
-* the ``parallel`` block (worker pool shape and wall times);
-* the ``cache`` / ``analysis_cache`` / ``interp`` blocks, the
-  ``events`` count and the ``analysis.*`` / ``interp.code_cache.*`` /
-  ``interp.compile_ns`` counters -- instrumentation *volume* and cache
-  temperature (the interpreter's code cache is process-global, so its
-  traffic depends on what ran before), which vary while decision
-  counters must not;
-* the ``metrics`` block (v1.5) -- its histograms are wall-clock latency
-  measurements and several of its counters mirror cache traffic;
-* per-phase ``seq`` / ``start_ns`` / ``duration_ns``.
+A ``repro.stats/v2`` document is built as two blocks (see
+:mod:`.schema`): ``result`` holds what the run *produced* (totals,
+per-phase IR deltas, pass statistics, decision counters) and ``env``
+holds how it ran (pool shape, cache temperature, analysis and
+code-cache traffic, event volume, phase timing).  The parallel engine
+promises an identical ``result`` at any ``--jobs`` count, the
+persistent cache the same across cache temperatures, and the
+interpreter tiers the same across ``REPRO_INTERP`` settings, so
+comparing two runs means comparing their ``result`` blocks -- nothing
+is stripped.
 
 Two consumers share these rules: ``benchmarks/diff_stats.py`` (the
 CI serial-vs-parallel and cold-vs-warm gates) and :func:`stats_digest`,
-a SHA-256 over the stripped document that ``repro serve`` returns with
+a SHA-256 over the ``result`` block that ``repro serve`` returns with
 every compile response, so two runs of the same code on the same input
 carry the same digest.
 """
@@ -30,44 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 
-TIMING_KEYS = ("seq", "start_ns", "duration_ns")
 
-#: Top-level document blocks that describe the run's *environment or
-#: effort* (pool shape, cache temperature, instrumentation volume)
-#: rather than its output.
-ENVIRONMENT_BLOCKS = ("parallel", "cache", "analysis_cache", "events",
-                      "metrics", "interp")
-
-#: Counter-name prefixes describing effort or cache temperature rather
-#: than decisions: analysis traffic, interpreter code-cache traffic
-#: and compile time.  ``interp.runs`` / ``interp.steps`` /
-#: ``interp.block_entries`` are *not* here -- they are deterministic
-#: per run at every tier, job count and cache temperature.
-ENVIRONMENT_COUNTER_PREFIXES = ("analysis.", "interp.code_cache.",
-                                "interp.compile_ns")
-
-
-def strip_timing(document):
-    """Return *document* minus the documented non-deterministic fields
-    (works on single stats documents and ``runs``-bearing collections).
-    """
-    if isinstance(document, dict) and "runs" in document:
-        return {**document,
-                "runs": [strip_timing(run) for run in document["runs"]]}
-    document = dict(document)
-    for block in ENVIRONMENT_BLOCKS:
-        document.pop(block, None)
-    if "counters" in document:
-        document["counters"] = {
-            name: value for name, value in document["counters"].items()
-            if not name.startswith(ENVIRONMENT_COUNTER_PREFIXES)}
-    phases = []
-    for entry in document.get("phases", ()):
-        entry = {k: v for k, v in entry.items() if k not in TIMING_KEYS}
-        phases.append(entry)
-    if "phases" in document:
-        document["phases"] = phases
-    return document
+def result_blocks(document) -> list:
+    """Each run's experiment name and ``result`` block, in order (a
+    single stats document is a one-run list; a ``runs``-bearing
+    collection gives one entry per run)."""
+    runs = document["runs"] if "runs" in document else [document]
+    return [{"experiment": run["experiment"], "result": run["result"]}
+            for run in runs]
 
 
 def first_difference(left, right, path="$"):
@@ -98,12 +61,12 @@ def first_difference(left, right, path="$"):
 
 
 def stats_digest(document) -> str:
-    """SHA-256 over the canonical JSON of the *stripped* document --
-    the deterministic identity of a run's non-timing content.  Two runs
-    of the same code on the same input carry the same digest at any
-    ``--jobs`` count and cache temperature (given the same tracer
-    configuration: a traced run records decision counters an untraced
-    one leaves empty)."""
-    canonical = json.dumps(strip_timing(document), sort_keys=True,
+    """SHA-256 over the canonical JSON of ``document["result"]`` -- the
+    deterministic identity of a run.  Two runs of the same code on the
+    same input carry the same digest at any ``--jobs`` count, cache
+    temperature and interpreter tier (given the same tracer
+    configuration: a traced run records decision counters and
+    per-phase deltas an untraced one leaves empty)."""
+    canonical = json.dumps(document["result"], sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -20,8 +20,7 @@ adds what is parallel-specific:
 * worker span/event records are grafted into the parent tracer in
   shard-index order with renumbered ``seq``/rebased timestamps, so a
   ``--trace`` of a parallel run is one coherent Chrome trace;
-* ``analysis_cache``, ``cache`` and metric snapshots (counters and
-  histogram buckets add, gauges take the max) are summed per key;
+* the ``analysis_cache`` and ``cache`` blocks are summed per key;
 * the fold then lists functions in the *input module's* order,
   re-sequences ``phase_stats`` and ``phases[]`` the same way (a merged
   phase's ``seq`` is its index) and adds each worker's counters to the
@@ -152,18 +151,16 @@ def _compile_units(spec) -> list:
     pairs; one job's failure never touches its shard-mates (or trips
     the pool's respawn logic)."""
     from . import pipeline as _pipeline
-    from .observability.metrics import MetricsRegistry
 
-    subjobs, target, validate, traced, metriced, cache = spec
+    subjobs, target, validate, traced, cache = spec
     out = []
     for j, shard, name, phases, options in subjobs:
         tracer = Tracer() if traced else None
-        metrics = MetricsRegistry() if metriced else None
         start = time.perf_counter_ns()
         try:
             result = _pipeline.run_phases(shard, name, phases, options,
                                           target, None, validate, tracer,
-                                          cache=cache, metrics=metrics)
+                                          cache=cache)
         except Exception as error:  # noqa: BLE001 -- per-job isolation
             # Unpickles as *error* with the worker's traceback as its
             # __cause__, exactly what a failed future would raise.
@@ -177,9 +174,11 @@ def _compile_units(spec) -> list:
 
 def _result_payload(result, wall_ns: int) -> dict:
     """What a worker sends back: its run as a part of
-    :func:`repro.pipeline.fold`, plus the environment blocks
-    :func:`merge_job` sums (the module's externals -- arbitrary
-    callables -- and the live tracer object stay behind)."""
+    :func:`repro.pipeline.fold` -- per-function ``before``/``after``
+    records, no deltas: only the parent derives those -- plus the
+    environment blocks :func:`merge_job` sums (the module's externals
+    -- arbitrary callables -- and the live tracer object stay
+    behind)."""
     tracer = result.tracer
     return {
         "functions": dict(result.module.functions),
@@ -191,7 +190,6 @@ def _result_payload(result, wall_ns: int) -> dict:
         "counters": tracer.counters if tracer.enabled else {},
         "analysis_cache": result.analysis_cache,
         "cache": result.cache,
-        "metrics": result.metrics or None,
         "tracer": _tracer_payload(tracer) if tracer.enabled else None,
         "wall_ns": wall_ns,
     }
@@ -331,14 +329,14 @@ def shared_pool(jobs: Optional[int]):
 def run_units(batch: Sequence[Job], jobs: Optional[int] = None,
               pool: Optional[WorkerPool] = None,
               target: Target = ST120, validate: bool = True,
-              traced: bool = False, metriced: bool = False, cache=None):
+              traced: bool = False, cache=None):
     """Compile every ``(job, function)`` unit of *batch* on a pool.
 
     Units are LPT-placed by instruction count across
     ``min(workers, units)`` shards; each shard is one
     :func:`_compile_units` task holding, per job, a sub-module of that
-    job's functions.  *traced*/*metriced* give every worker run its own
-    tracer/registry for :func:`merge_job` to graft.
+    job's functions.  *traced* gives every worker run its own tracer
+    for :func:`merge_job` to graft.
 
     Returns ``(workers, pool_ns, outcomes)`` -- the shard count, the
     submit-to-last-result wall time, and per job either its payloads
@@ -365,7 +363,7 @@ def run_units(batch: Sequence[Job], jobs: Optional[int] = None,
                     batch[j].name, tuple(batch[j].phases),
                     batch[j].options)
                    for j, names in sorted(grouped.items())]
-        specs.append((subjobs, target, validate, traced, metriced, cache))
+        specs.append((subjobs, target, validate, traced, cache))
     start = time.perf_counter_ns()
     if pool is not None:
         shards = pool.run(_compile_units, specs)
@@ -441,7 +439,7 @@ def _merge_store_stats(payloads: Sequence[dict]) -> dict:
 
 
 def merge_job(module: Module, name: str, payloads: Sequence[dict],
-              verify=None, tracer=None, metrics=None, workers: int = 1,
+              verify=None, tracer=None, workers: int = 1,
               pool_ns: int = 0):
     """Fold one job's worker *payloads* into the
     :class:`~repro.pipeline.ExperimentResult` the serial
@@ -456,10 +454,8 @@ def merge_job(module: Module, name: str, payloads: Sequence[dict],
     ``parallel`` block.
     """
     from . import pipeline as _pipeline
-    from .observability.metrics import resolve_metrics
 
     tracer = resolve_tracer(tracer)
-    metrics = resolve_metrics(metrics)
     with _pipeline.verified_run(module, name, verify, tracer) \
             as (result, root):
         merge_start = time.perf_counter_ns()
@@ -469,14 +465,6 @@ def merge_job(module: Module, name: str, payloads: Sequence[dict],
                               root.depth + 1)
         result.analysis_cache = _merge_cache_stats(payloads)
         result.cache = _merge_store_stats(payloads)
-        if metrics.enabled:
-            for payload in payloads:  # shard-index order (commutative)
-                metrics.merge(payload["metrics"] or {})
-            # Each worker counted its slice as one pipeline invocation;
-            # collapse to the single logical run the caller asked for so
-            # counters stay identical at any job count.
-            metrics.counter("pipeline.runs").inc(1 - len(payloads))
-            result.metrics = metrics.snapshot()
         result.module, result.phase_stats, result.phase_breakdown = \
             _pipeline.fold(module, payloads, tracer)
         result.parallel = {
@@ -496,27 +484,23 @@ def run_phases_parallel(module: Module, name: str, phases,
                         options=None, target: Target = ST120,
                         verify=None, validate: bool = True,
                         tracer=None, jobs: Optional[int] = None,
-                        cache=None, metrics=None, pool=None):
+                        cache=None, pool=None):
     """Parallel twin of :func:`repro.pipeline.run_phases`: one job on
     the engine, merged by :func:`merge_job`.  Falls back to the serial
     path whenever :func:`run_units` declines; a worker exception is
     re-raised exactly as the serial run would raise it."""
     from . import pipeline as _pipeline
-    from .observability.metrics import resolve_metrics
 
     tracer = resolve_tracer(tracer)
-    metrics = resolve_metrics(metrics)
     phases = tuple(phases)
     sharded = run_units([Job(module, name, phases, options)], jobs, pool,
                         target=target, validate=validate,
-                        traced=tracer.enabled, metriced=metrics.enabled,
-                        cache=cache)
+                        traced=tracer.enabled, cache=cache)
     if sharded is None:
         return _pipeline.run_phases(module, name, phases, options, target,
-                                    verify, validate, tracer, cache=cache,
-                                    metrics=metrics)
+                                    verify, validate, tracer, cache=cache)
     workers, pool_ns, (outcome,) = sharded
     if isinstance(outcome, Exception):
         raise outcome
-    return merge_job(module, name, outcome, verify, tracer, metrics,
+    return merge_job(module, name, outcome, verify, tracer,
                      workers=workers, pool_ns=pool_ns)

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import contextlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .analysis.manager import AnalysisManager
-from .interp import run_module
+from .interp import CODE_CACHE, resolve_tier, run_module
 from .ir.function import Function, Module
 from .ir.validate import validate_function
 from .machine.constraints import pinning_abi, pinning_sp
@@ -43,7 +42,6 @@ from .metrics import (count_instructions, count_moves, count_phis,
                       weighted_moves)
 from .observability import NULL_TRACER, STATS_SCHEMA, jsonable
 from .observability import resolve as resolve_tracer
-from .observability.metrics import COUNT_BOUNDS, resolve_metrics
 from .outofssa.chaitin import aggressive_coalesce
 from .outofssa.leung_george import out_of_pinned_ssa
 from .outofssa.naive_abi import naive_abi
@@ -91,14 +89,16 @@ class ExperimentResult:
     weighted: int = 0
     instructions: int = 0
     phase_stats: dict = field(default_factory=dict)
-    #: Per-phase timing + IR-delta entries (``repro.stats/v1`` shape);
-    #: populated only when a recording tracer is installed.
+    #: One entry per phase, built by :func:`fold` only under a
+    #: recording tracer: ``phase``, its timing (``seq``/``start_ns``/
+    #: ``duration_ns``) and ``functions``, each function's ``before``/
+    #: ``after`` IR measures.  :meth:`to_stats` derives the deltas.
     phase_breakdown: list = field(default_factory=list)
     #: The tracer the experiment ran under (NULL_TRACER by default).
     tracer: object = NULL_TRACER
     #: Shared-analysis cache behaviour over the whole run
-    #: (hits/misses/invalidations/preserved, from
-    #: :meth:`repro.analysis.manager.AnalysisManager.stats`).
+    #: (hits/misses/invalidations/preserved and the oracle's memo
+    #: traffic, from :meth:`repro.analysis.manager.AnalysisManager.stats`).
     analysis_cache: dict = field(default_factory=dict)
     #: Parallel-execution breakdown (workers, shard sizes, per-worker
     #: wall time, merge time) when the run went through the parallel
@@ -109,50 +109,47 @@ class ExperimentResult:
     #: :meth:`repro.cache.CompilationCache.stats_since`); empty when no
     #: cache was configured.
     cache: dict = field(default_factory=dict)
-    #: Metrics snapshot of this run
-    #: (:meth:`repro.observability.metrics.MetricsRegistry.snapshot`:
-    #: counters, gauges, latency histograms -- merged element-wise
-    #: across workers in parallel runs); empty without a metrics
-    #: registry.
-    metrics: dict = field(default_factory=dict)
+    #: The interpreter tier behind the verify passes and the compiled
+    #: tier's code-cache traffic during the run (from
+    #: :meth:`repro.interp.compiled.CodeCache.stats_since`).
+    interp: dict = field(default_factory=dict)
 
     def row(self) -> tuple:
         return (self.name, self.moves, self.weighted)
 
     def to_stats(self) -> dict:
-        """This result as a ``repro.stats/v1`` document (see
-        :mod:`repro.observability.schema` and docs/observability.md)."""
+        """This result as a ``repro.stats/v2`` document (see
+        :mod:`repro.observability.schema` and docs/observability.md):
+        what the run produced in ``result``, how it ran in ``env``."""
         tracer = self.tracer
-        document = {
-            "schema": STATS_SCHEMA,
-            "experiment": self.name,
-            "totals": {"moves": self.moves, "weighted": self.weighted,
-                       "instructions": self.instructions},
-            "phases": [dict(entry) for entry in self.phase_breakdown],
-            "phase_stats": jsonable(self.phase_stats),
-            "counters": dict(tracer.counters) if tracer.enabled else {},
-            "events": len(tracer.events) if tracer.enabled else 0,
+        env = {
             "analysis_cache": dict(self.analysis_cache),
+            "events": len(tracer.events) if tracer.enabled else 0,
+            "interp": jsonable(self.interp),
+            "phases": [{"phase": entry["phase"], "seq": entry["seq"],
+                        "start_ns": entry["start_ns"],
+                        "duration_ns": entry["duration_ns"]}
+                       for entry in self.phase_breakdown],
         }
         if self.parallel:
-            document["parallel"] = jsonable(self.parallel)
+            env["parallel"] = jsonable(self.parallel)
         if self.cache:
-            document["cache"] = dict(self.cache)
-        if self.metrics:
-            document["metrics"] = self.metrics
-        if tracer.enabled:
-            from .interp import resolve_tier
-
-            counters = tracer.counters
-            document["interp"] = {
-                "tier": resolve_tier(),
-                "code_cache": {
-                    "hits": counters.get("interp.code_cache.hits", 0),
-                    "misses": counters.get("interp.code_cache.misses", 0),
-                    "compile_ns": counters.get("interp.compile_ns", 0),
-                },
-            }
-        return document
+            env["cache"] = dict(self.cache)
+        return {
+            "schema": STATS_SCHEMA,
+            "experiment": self.name,
+            "result": {
+                "totals": {"moves": self.moves, "weighted": self.weighted,
+                           "instructions": self.instructions},
+                "phase_stats": jsonable(self.phase_stats),
+                "counters": dict(tracer.counters) if tracer.enabled
+                else {},
+                "phases": [{"phase": entry["phase"],
+                            **_phase_delta(entry["functions"])}
+                           for entry in self.phase_breakdown],
+            },
+            "env": env,
+        }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The stats document serialized to a JSON string."""
@@ -225,7 +222,6 @@ def run_experiment(module: Module, name: str,
                    tracer=None,
                    jobs: Optional[int] = None,
                    cache=None,
-                   metrics=None,
                    pool=None) -> ExperimentResult:
     """Run experiment *name* on a fresh copy of *module*.
 
@@ -241,12 +237,8 @@ def run_experiment(module: Module, name: str,
     any job count.  ``cache`` enables the persistent compilation cache
     (:mod:`repro.cache`): a :class:`~repro.cache.CompilationCache`, a
     directory path, or ``None`` to consult ``$REPRO_CACHE`` (unset =
-    no caching); output is identical cache-hot and cache-cold.
-    ``metrics`` (a :class:`~repro.observability.MetricsRegistry`,
-    ideally fresh per run) records latency histograms and traffic
-    counters into ``result.metrics``; ``None`` installs the
-    zero-overhead null registry.  Neither observability knob changes
-    a single output byte.  ``pool`` (a
+    no caching); output is identical cache-hot and cache-cold.  The
+    tracer never changes a single output byte.  ``pool`` (a
     :class:`~repro.parallel.WorkerPool`) reuses a persistent executor
     instead of forking per call -- same merge, same bytes, no per-call
     fork cost.
@@ -262,10 +254,9 @@ def run_experiment(module: Module, name: str,
 
         return run_phases_parallel(module, name, phases, options, target,
                                    verify, validate, tracer, jobs=jobs,
-                                   cache=cache, metrics=metrics,
-                                   pool=pool)
+                                   cache=cache, pool=pool)
     return run_phases(module, name, phases, options, target, verify,
-                      validate, tracer, cache=cache, metrics=metrics)
+                      validate, tracer, cache=cache)
 
 
 def _snapshot(module: Module) -> dict[str, dict[str, int]]:
@@ -282,25 +273,22 @@ _ZERO_MEASURES = {"instructions": 0, "moves": 0, "phis": 0}
 
 def _phase_records(before: dict, after: dict) -> dict:
     """A part's per-function ``{before, after}`` measures for one
-    phase (:func:`fold` computes the deltas), over the union rule of
-    :func:`_phase_delta`."""
+    phase (:meth:`ExperimentResult.to_stats` derives the deltas)."""
+    # The *union* of the two maps: a function present before the phase
+    # but absent after it (removed by the pass) must still contribute
+    # its (negative) delta, reported with an ``after`` of zeros.
     return {fname: {"before": before.get(fname, _ZERO_MEASURES),
                     "after": after.get(fname, _ZERO_MEASURES)}
             for fname in {**before, **after}}
 
 
-def _phase_delta(before: dict, after: dict) -> dict:
-    """The ``delta`` and ``functions`` of one ``phases[]`` entry, from
-    per-function IR measures taken before and after the phase."""
+def _phase_delta(records: dict) -> dict:
+    """The ``delta`` and ``functions`` of one ``result.phases[]``
+    entry, from each function's ``before``/``after`` measures."""
     functions = {}
     totals = dict(_ZERO_MEASURES)
-    # Iterate the *union* of the two maps: a function present before
-    # the phase but absent after it (removed by the pass) must still
-    # contribute its (negative) delta, reported with an ``after`` of
-    # zeros -- iterating only ``after`` under-reports removals.
-    for fname in {**before, **after}:
-        b = before.get(fname, _ZERO_MEASURES)
-        a = after.get(fname, _ZERO_MEASURES)
+    for fname, record in records.items():
+        b, a = record["before"], record["after"]
         delta = {key: a[key] - b[key] for key in totals}
         functions[fname] = {"before": dict(b), "after": dict(a),
                             "delta": delta}
@@ -363,7 +351,9 @@ def fold(module: Module, parts: Sequence[dict],
     function's ``before``/``after`` measures, and decision counters to
     replay onto *tracer*.  The serial loop's own output is a part (its
     counters already live on the tracer), a cache entry is a
-    one-function part, and a worker payload is a part.
+    one-function part, and a worker payload is a part: the folded
+    ``phases[]`` has the parts' shape (plus timing), so a worker ships
+    its own folded run.
 
     Whatever the order of *parts*, the module lists functions in
     *module*'s order and every per-function map is re-sequenced the
@@ -401,17 +391,14 @@ def fold(module: Module, parts: Sequence[dict],
             entries = [part["phases"][i] for part in parts
                        if i < len(part["phases"])]
             timed = [entry for entry in entries if "seq" in entry]
-            records = ordered({fn_name: record for entry in entries
-                               for fn_name, record
-                               in entry["functions"].items()})
             breakdown.append({
                 "phase": entries[0]["phase"],
                 "seq": min(entry["seq"] for entry in timed),
                 "start_ns": min(entry["start_ns"] for entry in timed),
                 "duration_ns": max(entry["duration_ns"] for entry in timed),
-                **_phase_delta(
-                    {fn_name: r["before"] for fn_name, r in records.items()},
-                    {fn_name: r["after"] for fn_name, r in records.items()}),
+                "functions": ordered({fn_name: record for entry in entries
+                                      for fn_name, record
+                                      in entry["functions"].items()}),
             })
     return merged, {phase: ordered(stats)
                     for phase, stats in phase_stats.items()}, breakdown
@@ -426,9 +413,11 @@ def verified_run(module: Module, name: str, verify, tracer,
     input *module* and yields ``(result, span)``.  The caller sets
     ``result.module`` (through :func:`fold`); on exit the same calls
     are replayed on it (``verify:after``, raising on any changed
-    behaviour) and the paper metrics are counted.
+    behaviour), the paper metrics are counted and the interpreter's
+    code-cache traffic over the run is recorded.
     """
     result = ExperimentResult(name=name, module=module, tracer=tracer)
+    code_mark = CODE_CACHE.stats()
     references = {}
     with tracer.span(f"experiment:{name}", experiment=name) as root:
         if verify:
@@ -451,6 +440,8 @@ def verified_run(module: Module, name: str, verify, tracer,
         result.moves = count_moves(work)
         result.weighted = weighted_moves(work, analyses=analyses)
         result.instructions = count_instructions(work)
+        result.interp = {"tier": resolve_tier(),
+                         "code_cache": CODE_CACHE.stats_since(code_mark)}
 
 
 def run_phases(module: Module, name: str, phases: Iterable[str],
@@ -460,24 +451,17 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                validate: bool = True,
                tracer=None,
                cache=None,
-               metrics=None,
                analyses: Optional[AnalysisManager] = None) \
         -> ExperimentResult:
     tracer = resolve_tracer(tracer)
-    metrics = resolve_metrics(metrics)
-    # Hoisted once: the hot loops below guard *every* timing call and
-    # argument construction behind this bool, so the default (null
-    # registry) path performs no perf-counter reads and no allocations
-    # -- the same structural zero-overhead contract as the null tracer.
-    measuring = metrics.enabled
     options = options or PhaseOptions()
     phases = tuple(phases)
     work = module.copy()
     # ``analyses`` lets a long-lived caller (the serve serial path) keep
     # one process-lifetime manager across runs; its ``analysis_cache``
     # block then reports this run's deltas, not lifetime totals.
-    manager = analyses if analyses is not None else AnalysisManager(tracer)
-    analysis_mark = manager.stats() if analyses is not None else None
+    manager = analyses if analyses is not None else AnalysisManager()
+    analysis_mark = manager.stats()
     cache_mark = cache.stats() if cache is not None else None
     with verified_run(module, name, verify, tracer, manager) as (result, _):
         # Cache probe: hit functions leave the working module entirely
@@ -488,24 +472,14 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
         if cache is not None:
             with tracer.span("cache:probe",
                              functions=len(work.functions)):
-                probe_timer = metrics.histogram("cache.probe_seconds") \
-                    if measuring else None
                 for function in list(work.iter_functions()):
                     key = cache.key(function, phases, options, target)
-                    if measuring:
-                        probe_start = time.perf_counter_ns()
                     payload = cache.probe(key)
-                    if measuring:
-                        probe_timer.observe(
-                            (time.perf_counter_ns() - probe_start) / 1e9)
                     if payload is None:
                         miss_keys[function.name] = key
                     else:
                         hits.append(payload)
                         del work.functions[function.name]
-                if measuring:
-                    metrics.counter("cache.hits").inc(len(hits))
-                    metrics.counter("cache.misses").inc(len(miss_keys))
         #: This loop's output as a part.  Its counters are already on
         #: the tracer; ``counters`` below keeps each miss's decision
         #: counter deltas so its stored entry can replay them on a hit.
@@ -521,9 +495,6 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
         #: do) cannot have changed what the validator looks at -- pins
         #: are resources, not IR -- so the check is skipped.
         validated: dict[Function, tuple[int, int, bool]] = {}
-        #: function -> accumulated compile ns across all phases, fed
-        #: into the ``compile.function_seconds`` histogram at the end.
-        function_ns: dict[str, int] = {}
         for phase in phases:
             runner = _phase_runner(phase, options, target, tracer, manager)
             before = _snapshot(work) if tracer.enabled or recording \
@@ -531,33 +502,14 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
             with tracer.span(f"phase:{phase}", phase=phase) as span:
                 stats = None if phase == "ssa" else {}
                 capture = tracer.enabled and recording
-                # One observation per (phase, function): the histogram's
-                # count is worker-independent, its sum is the phase's
-                # self time.
-                phase_timer = metrics.histogram("phase.seconds",
-                                                phase=phase) \
-                    if measuring else None
                 for function in work.iter_functions():
                     base = dict(tracer.counters) if capture else None
-                    if measuring:
-                        fn_start = time.perf_counter_ns()
                     value = runner(function)
-                    if measuring:
-                        fn_ns = time.perf_counter_ns() - fn_start
-                        function_ns[function.name] = \
-                            function_ns.get(function.name, 0) + fn_ns
-                        phase_timer.observe(fn_ns / 1e9)
                     if stats is not None:
                         stats[function.name] = value
                     if base is not None:
                         deltas = counters[function.name]
                         for counter, total in tracer.counters.items():
-                            # Pass *decision* counters replay exactly on
-                            # a later hit; ``analysis.*`` traffic belongs
-                            # to whichever run actually executed (a warm
-                            # run has its own) and is never replayed.
-                            if counter.startswith("analysis."):
-                                continue
                             delta = total - base.get(counter, 0)
                             if delta:
                                 deltas[counter] = \
@@ -593,14 +545,10 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
 
         if miss_keys:
             with tracer.span("cache:store", functions=len(miss_keys)):
-                store_timer = metrics.histogram("cache.store_seconds") \
-                    if measuring else None
                 for fn_name, key in miss_keys.items():
                     function = work.functions.get(fn_name)
                     if function is None:
                         continue  # removed by a pass: nothing to replay
-                    if measuring:
-                        store_start = time.perf_counter_ns()
                     cache.store(key, {
                         "functions": {fn_name: function},
                         "phase_stats": {
@@ -613,82 +561,49 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                             for entry in local["phases"]],
                         "counters": counters[fn_name],
                     })
-                    if measuring:
-                        store_timer.observe(
-                            (time.perf_counter_ns() - store_start) / 1e9)
 
-    result.analysis_cache = manager.stats() if analysis_mark is None \
-        else manager.stats_since(analysis_mark)
+    result.analysis_cache = manager.stats_since(analysis_mark)
     if cache is not None:
         result.cache = cache.stats_since(cache_mark)
-    if measuring:
-        function_timer = metrics.histogram("compile.function_seconds")
-        for fn_name in sorted(function_ns):
-            function_timer.observe(function_ns[fn_name] / 1e9)
-        metrics.counter("pipeline.runs").inc()
-        metrics.counter("pipeline.functions").inc(len(module.functions))
-        analysis = result.analysis_cache
-        metrics.counter("analysis.hits").inc(analysis.get("hits", 0))
-        metrics.counter("analysis.misses").inc(analysis.get("misses", 0))
-        metrics.counter("oracle.hits").inc(analysis.get("oracle_hits", 0))
-        metrics.counter("oracle.misses").inc(
-            analysis.get("oracle_misses", 0))
-        # The oracle's per-run query batch: how many interference
-        # verdicts one pipeline run asked for (a size, not a latency --
-        # hence the count ladder).
-        metrics.histogram("oracle.query_batch",
-                          bounds=COUNT_BOUNDS).observe(
-            float(analysis.get("oracle_hits", 0)
-                  + analysis.get("oracle_misses", 0)))
-        if result.cache:
-            metrics.gauge("cache.store_bytes").set(
-                result.cache.get("bytes", 0))
-        result.metrics = metrics.snapshot()
     return result
 
 
 def _run_labelled(module: Module, specs, verify, validate, tracer,
-                  jobs, cache=None, metrics=None,
-                  pool=None) -> list[ExperimentResult]:
+                  jobs, cache=None, pool=None) -> list[ExperimentResult]:
     """Run ``(label, experiment, options)`` *specs*, serially or -- when
     ``jobs``/``pool`` allow -- as one batch of ``(experiment, function)``
     units on the parallel engine (:mod:`repro.parallel`).
 
     ``tracer`` may be a tracer instance (shared across all runs) or a
     zero-argument factory such as the :class:`Tracer` class itself (one
-    fresh tracer per run, which is what per-run stats documents want);
-    ``metrics`` works the same way with
-    :class:`~repro.observability.MetricsRegistry`.  ``pool`` reuses a
-    persistent :class:`~repro.parallel.WorkerPool` across calls.
+    fresh tracer per run, which is what per-run stats documents want).
+    ``pool`` reuses a persistent :class:`~repro.parallel.WorkerPool`
+    across calls.
     """
     from .cache import resolve_cache
     from .parallel import Job, merge_job, run_units
 
     cache = resolve_cache(cache)
     tracers = [tracer() if callable(tracer) else tracer for _ in specs]
-    registries = [metrics() if callable(metrics) else metrics
-                  for _ in specs]
     sharded = run_units(
         [Job(module, name, EXPERIMENTS[name], options)
          for _, name, options in specs], jobs, pool,
         validate=validate,
         traced=any(resolve_tracer(t).enabled for t in tracers),
-        metriced=any(resolve_metrics(m).enabled for m in registries),
         cache=cache)
     results = []
     for i, (label, name, options) in enumerate(specs):
         if sharded is None:
             result = run_experiment(module, name, options=options,
                                     verify=verify, validate=validate,
-                                    tracer=tracers[i], jobs=1, cache=cache,
-                                    metrics=registries[i])
+                                    tracer=tracers[i], jobs=1, cache=cache)
         else:
             workers, pool_ns, outcomes = sharded
             if isinstance(outcomes[i], Exception):
                 raise outcomes[i]
             result = merge_job(module, name, outcomes[i], verify,
-                               tracers[i], registries[i],
-                               workers=workers, pool_ns=pool_ns)
+                               tracers[i], workers=workers,
+                               pool_ns=pool_ns)
         result.name = label
         results.append(result)
     return results
@@ -701,20 +616,18 @@ def run_table(module: Module, table: str,
               tracer=None,
               jobs: Optional[int] = None,
               cache=None,
-              metrics=None,
               pool=None) -> list[ExperimentResult]:
     """Run all experiments of one paper table on *module*.
 
-    ``options``/``validate``/``tracer``/``cache``/``metrics`` are
-    forwarded to every :func:`run_experiment`; ``tracer`` and
-    ``metrics`` may be factories (e.g. the ``Tracer`` /
-    ``MetricsRegistry`` classes) to give each run its own recorder.
-    ``jobs > 1`` (or ``pool``) shards the ``(experiment, function)``
-    units of the whole table across one worker pool.
+    ``options``/``validate``/``tracer``/``cache`` are forwarded to every
+    :func:`run_experiment`; ``tracer`` may be a factory (e.g. the
+    ``Tracer`` class) to give each run its own recorder.  ``jobs > 1``
+    (or ``pool``) shards the ``(experiment, function)`` units of the
+    whole table across one worker pool.
     """
     specs = [(name, name, options) for name in TABLE_EXPERIMENTS[table]]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
-                         cache=cache, metrics=metrics, pool=pool)
+                         cache=cache, pool=pool)
 
 
 def run_experiments(module: Module,
@@ -726,7 +639,6 @@ def run_experiments(module: Module,
                     tracer=None,
                     jobs: Optional[int] = None,
                     cache=None,
-                    metrics=None,
                     pool=None) -> list[ExperimentResult]:
     """Run several experiments (default: the whole Table 1 matrix) on
     *module*, optionally sharding their ``(experiment, function)`` units
@@ -734,7 +646,7 @@ def run_experiments(module: Module,
     :class:`~repro.parallel.WorkerPool`)."""
     specs = [(name, name, options) for name in (names or EXPERIMENTS)]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
-                         cache=cache, metrics=metrics, pool=pool)
+                         cache=cache, pool=pool)
 
 
 def table5_variants() -> dict[str, PhaseOptions]:
@@ -753,11 +665,10 @@ def run_table5(module: Module,
                tracer=None,
                jobs: Optional[int] = None,
                cache=None,
-               metrics=None,
                pool=None) -> list[ExperimentResult]:
     """Table 5: weighted move counts of the coalescer variants, using
     the full constrained pipeline (``Lφ,ABI+C``)."""
     specs = [(label, "Lphi,ABI+C", options)
              for label, options in table5_variants().items()]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
-                         cache=cache, metrics=metrics, pool=pool)
+                         cache=cache, pool=pool)

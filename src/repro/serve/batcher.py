@@ -34,9 +34,9 @@ from ..observability.statdiff import stats_digest
 from ..parallel import Job, merge_job, run_units
 from .protocol import ProtocolError
 
-#: Workers run untraced and unmetriced: server-side latency metrics are
-#: recorded by the server itself, and the byte-identity contract is
-#: against the *untraced* serial CLI run.
+#: Workers run untraced: server-side latency metrics are recorded by
+#: the server's own registry, and the byte-identity contract is against
+#: the *untraced* serial CLI run.
 
 
 @dataclass
@@ -56,11 +56,11 @@ def _error(error: Exception) -> dict:
 
 
 def _respond(result, batch: dict) -> dict:
-    """Build the success response.  The stats document digested here is
-    exactly what an untraced serial :func:`repro.pipeline.run_phases`
-    produces for this request (the environment blocks -- ``parallel``,
-    ``cache``, ``analysis_cache`` -- are stripped by the digest), so
-    ``stats_digest`` matches the one-shot CLI at any jobs setting."""
+    """Build the success response.  ``stats_digest`` hashes the stats
+    document's ``result`` block, which is exactly what an untraced
+    serial :func:`repro.pipeline.run_phases` produces for this request
+    (pool shape and cache traffic live in ``env``, which the digest
+    never reads), so it matches the one-shot CLI at any jobs setting."""
     return {
         "ok": True,
         "experiment": result.name,

@@ -24,8 +24,8 @@ Responses always carry ``"ok"``; failures are
 A successful compile response carries the byte-identical serial-CLI
 artifacts: ``module`` (the ``format_module`` text), the
 ``moves``/``weighted``/``instructions`` totals, and ``stats_digest``
-(the timing-stripped :func:`repro.observability.statdiff.stats_digest`
-of the run's stats document).
+(:func:`repro.observability.statdiff.stats_digest`, a hash of the
+``result`` block of the run's stats document).
 
 :func:`request_fingerprint` is the identity behind identical-request
 dedup and the server's response memo: it composes the

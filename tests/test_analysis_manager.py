@@ -4,12 +4,12 @@ import pytest
 
 from repro.analysis import AnalysisManager, Liveness
 from repro.machine.constraints import pinning_abi, pinning_sp
-from repro.observability import Tracer
+from repro.observability import SchemaError, Tracer
 from repro.observability.schema import validate_stats
 from repro.pipeline import ensure_ssa, run_experiment
 from repro.ssa.copyprop import eliminate_dead_code, propagate_copies
 
-from helpers import DIAMOND, function_of
+from helpers import DIAMOND, function_of, module_of
 
 
 def ssa_function():
@@ -135,19 +135,24 @@ endfunc
     assert graph._index is liveness.index
 
 
-def test_manager_counters_reach_tracer_and_stats():
+def test_manager_counters_reach_stats_only():
     tracer = Tracer()
-    manager = AnalysisManager(tracer)
+    manager = AnalysisManager()
     f = ssa_function()
     manager.liveness(f)
     manager.liveness(f)
     f.bump_epoch()
     manager.invalidate(f)
-    assert tracer.counters["analysis.hits"] == 1
-    assert tracer.counters["analysis.misses"] == 2
-    assert tracer.counters["analysis.invalidations"] == 2
     stats = manager.stats()
-    assert stats["hits"] == 1 and stats["misses"] == 2
+    assert (stats["hits"], stats["misses"], stats["invalidations"]) == \
+        (1, 2, 2)
+    assert manager.stats_since(stats) == dict.fromkeys(stats, 0)
+    # Analysis traffic is environment, never a tracer counter.
+    result = run_experiment(module_of(DIAMOND), "Lphi,ABI+C",
+                            tracer=tracer)
+    assert result.analysis_cache["misses"] > 0
+    assert not any(name.startswith("analysis.")
+                   for name in tracer.counters)
 
 
 def test_pipeline_reuses_analyses_and_reports_cache_stats():
@@ -163,19 +168,15 @@ def test_pipeline_reuses_analyses_and_reports_cache_stats():
     assert cache["hits"] > 0, \
         "pipeline passes must share analyses through the manager"
     doc = result.to_stats()
-    assert doc["analysis_cache"] == cache
+    assert doc["env"]["analysis_cache"] == cache
     validate_stats(doc)
 
 
-def test_v1_documents_without_cache_block_stay_valid():
-    doc = {"schema": "repro.stats/v1", "experiment": "x",
+def test_v1_documents_are_rejected():
+    doc = {"schema": "repro.stats/v1.1", "experiment": "x",
            "totals": {"moves": 0, "weighted": 0, "instructions": 0},
-           "phases": [], "phase_stats": {}, "counters": {}, "events": 0}
-    validate_stats(doc)
-    doc["schema"] = "repro.stats/v1.1"
-    doc["analysis_cache"] = {"hits": 1, "misses": 2,
-                             "invalidations": 3, "preserved": 4}
-    validate_stats(doc)
-    doc["analysis_cache"] = {"hits": "lots"}
-    with pytest.raises(Exception):
+           "phases": [], "phase_stats": {}, "counters": {}, "events": 0,
+           "analysis_cache": {"hits": 1, "misses": 2,
+                              "invalidations": 3, "preserved": 4}}
+    with pytest.raises(SchemaError, match="repro.stats/v2"):
         validate_stats(doc)

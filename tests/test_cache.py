@@ -13,7 +13,6 @@ The contract under test is the acceptance bar of the cache
 * forked parallel workers share one directory and their counters sum.
 """
 
-import copy
 import glob
 import os
 
@@ -43,27 +42,6 @@ def module():
 def entry_files(cache_dir):
     return sorted(glob.glob(os.path.join(str(cache_dir),
                                          "objects", "*", "*.bin")))
-
-
-def strip_volatile(doc: dict) -> dict:
-    """A stats document minus the fields documented as varying between
-    a cache-cold and a cache-hot run (mirrors benchmarks/diff_stats.py):
-    timing, the ``parallel``/``cache`` blocks, and the instrumentation
-    volume a warm run legitimately skips (``analysis_cache``,
-    ``events``, ``analysis.*`` counters).  Paper metrics, per-phase
-    breakdowns and decision counters survive and must match."""
-    doc = copy.deepcopy(doc)
-    doc.pop("cache", None)
-    doc.pop("parallel", None)
-    doc.pop("analysis_cache", None)
-    doc.pop("events", None)
-    doc["counters"] = {name: value
-                       for name, value in doc.get("counters", {}).items()
-                       if not name.startswith("analysis.")}
-    for entry in doc.get("phases", ()):
-        for key in ("seq", "start_ns", "duration_ns"):
-            entry.pop(key, None)
-    return doc
 
 
 class TestKeys:
@@ -135,10 +113,9 @@ class TestRoundTrip:
                               cache=cache_dir)
         for doc in (cold.to_stats(), warm.to_stats()):
             validate_stats(doc)
-            assert doc["cache"]["hits"] + doc["cache"]["misses"] == \
-                len(module.functions)
-        assert strip_volatile(warm.to_stats()) == \
-            strip_volatile(cold.to_stats())
+            assert doc["env"]["cache"]["hits"] + \
+                doc["env"]["cache"]["misses"] == len(module.functions)
+        assert warm.to_stats()["result"] == cold.to_stats()["result"]
 
     def test_entries_hold_only_before_after_records(self, module,
                                                     tmp_path):
@@ -159,13 +136,12 @@ class TestRoundTrip:
         warm = run_experiment(module, "Lphi,ABI+C", tracer=Tracer(),
                               cache=cache)
         assert warm.cache["hits"] == len(module.functions)
-        assert strip_volatile(warm.to_stats()) == \
-            strip_volatile(cold.to_stats())
+        assert warm.to_stats()["result"] == cold.to_stats()["result"]
 
     def test_cache_block_only_with_cache(self, module):
         result = run_experiment(module, "Lphi,ABI+C")
         assert result.cache == {}
-        assert "cache" not in result.to_stats()
+        assert "cache" not in result.to_stats()["env"]
 
     def test_ir_change_misses(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -222,8 +198,7 @@ class TestPartiallyWarm:
         assert (warm.cache["hits"], warm.cache["misses"],
                 warm.cache["stores"]) == (2, 1, 1)
         validate_stats(warm.to_stats())
-        assert strip_volatile(warm.to_stats()) == \
-            strip_volatile(cold.to_stats())
+        assert warm.to_stats()["result"] == cold.to_stats()["result"]
         assert format_module(warm.module) == format_module(cold.module)
 
 
@@ -319,8 +294,7 @@ class TestParallelSharing:
         warm = run_experiment(module, "Lphi,ABI+C", tracer=Tracer(),
                               jobs=2, cache=cache_dir)
         validate_stats(warm.to_stats())
-        assert strip_volatile(warm.to_stats()) == \
-            strip_volatile(cold.to_stats())
+        assert warm.to_stats()["result"] == cold.to_stats()["result"]
 
 
 class TestResolveCache:

@@ -140,9 +140,10 @@ class TestCompileObservability:
         assert phases == {f"phase:{p}" for p in EXPERIMENTS["Lphi,ABI+C"]}
         doc = validate_stats_file(stats)
         assert doc["experiment"] == "Lphi,ABI+C"
-        assert [e["phase"] for e in doc["phases"]] == \
+        assert [e["phase"] for e in doc["result"]["phases"]] == \
             list(EXPERIMENTS["Lphi,ABI+C"])
-        assert doc["counters"]["interp.runs"] == 2  # before + after verify
+        # before + after verify
+        assert doc["result"]["counters"]["interp.runs"] == 2
 
     def test_verbose_summary_on_stderr(self, lai_file, capsys):
         assert main(["compile", lai_file, "-v"]) == 0
@@ -173,13 +174,13 @@ class TestCompileCache:
         assert main(["compile", lai_file, "--cache-dir", cache,
                      "--stats-json", stats]) == 0
         doc = validate_stats_file(stats)
-        assert doc["cache"]["misses"] == 1
-        assert doc["cache"]["stores"] == 1
+        assert doc["env"]["cache"]["misses"] == 1
+        assert doc["env"]["cache"]["stores"] == 1
         assert main(["compile", lai_file, "--cache-dir", cache,
                      "--stats-json", stats]) == 0
         doc = validate_stats_file(stats)
-        assert doc["cache"]["hits"] == 1
-        assert doc["cache"]["misses"] == 0
+        assert doc["env"]["cache"]["hits"] == 1
+        assert doc["env"]["cache"]["misses"] == 0
 
     def test_no_cache_no_block(self, lai_file, tmp_path, capsys,
                                monkeypatch):
@@ -187,7 +188,7 @@ class TestCompileCache:
         stats = str(tmp_path / "s.json")
         assert main(["compile", lai_file, "--stats-json", stats]) == 0
         doc = validate_stats_file(stats)
-        assert "cache" not in doc
+        assert "cache" not in doc["env"]
 
     def test_experiments_accepts_cache_dir(self, lai_file, tmp_path,
                                            capsys):
@@ -213,7 +214,7 @@ class TestExperimentsObservability:
         assert {run["experiment"] for run in doc["runs"]} == \
             set(EXPERIMENTS)
         for run in doc["runs"]:
-            assert run["phases"], run["experiment"]
+            assert run["result"]["phases"], run["experiment"]
 
     def test_table_format_includes_breakdown(self, lai_file, capsys):
         assert main(["experiments", lai_file]) == 0
@@ -267,20 +268,28 @@ class TestExperimentsObservability:
 
 
 class TestRejectedOptions:
-    def test_serve_rejects_metrics(self, capsys):
-        # The server always meters (its ``metrics`` op); a ``--metrics``
-        # flag on ``serve`` would be a silent no-op.
-        with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--socket", "unused.sock", "--metrics"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --metrics" in capsys.readouterr().err
+    @staticmethod
+    def _options(command: str) -> set:
+        from repro.cli import build_parser
 
-    def test_compile_still_accepts_metrics(self, lai_file, tmp_path,
-                                           capsys):
-        stats = tmp_path / "s.json"
-        assert main(["compile", lai_file, "--metrics",
-                     "--stats-json", str(stats)]) == 0
-        assert "metrics" in validate_stats_file(str(stats))
+        subparsers, = [action for action in build_parser()._actions
+                       if action.choices]
+        return {option for action in subparsers.choices[command]._actions
+                for option in action.option_strings}
+
+    def test_serve_rejects_metrics(self):
+        # The server always meters; its registry is read live through
+        # the ``metrics`` op, never switched on by a flag.
+        assert not any("metrics" in option
+                       for option in self._options("serve"))
+
+    def test_one_shot_commands_take_no_metrics_option(self):
+        # A one-shot run's figures are the tracer's and the stats
+        # document's; no registry records it.
+        for command in ("compile", "experiments", "tables"):
+            assert "--jobs" in self._options(command)
+            assert not any("metrics" in option
+                           for option in self._options(command)), command
 
     def test_no_perf_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

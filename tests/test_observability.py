@@ -135,35 +135,6 @@ class TestNullTracer:
         result = run_experiment(module, "Lphi,ABI+C", tracer=Tracer())
         assert result.phase_breakdown
 
-    def test_default_run_skips_metrics_entirely(self, monkeypatch):
-        """Structural zero-overhead for the registry: without one,
-        run_phases never reaches a histogram observe or a perf-counter
-        read on its behalf -- the hot loops guard every metrics call
-        behind ``metrics.enabled``."""
-        from repro.observability import metrics as metrics_mod
-
-        def boom(self, value):
-            raise AssertionError("Histogram.observe on the null path")
-
-        monkeypatch.setattr(metrics_mod.Histogram, "observe", boom)
-        monkeypatch.setattr(
-            metrics_mod.Counter, "inc",
-            lambda self, n=1: (_ for _ in ()).throw(
-                AssertionError("Counter.inc on the null path")))
-        module = module_of(LOOPY)
-        result = run_experiment(module, "Lphi,ABI+C")
-        assert result.metrics == {}
-        assert "metrics" not in result.to_stats()
-
-    def test_metered_run_snapshots(self):
-        from repro.observability import MetricsRegistry
-
-        module = module_of(LOOPY)
-        result = run_experiment(module, "Lphi,ABI+C",
-                                metrics=MetricsRegistry())
-        assert result.metrics["counters"]["pipeline.runs"] == 1
-        assert result.to_stats()["metrics"] is result.metrics
-
 
 class TestChromeExport:
     def _trace(self):
@@ -207,11 +178,12 @@ class TestPhaseBreakdown:
     def test_every_phase_present_with_timing_and_deltas(self):
         module = module_of(LOOPY)
         name = "Lphi,ABI+C"
-        result = run_experiment(module, name, tracer=Tracer())
-        assert [e["phase"] for e in result.phase_breakdown] == \
-            list(EXPERIMENTS[name])
-        for entry in result.phase_breakdown:
-            assert entry["duration_ns"] >= 0
+        doc = run_experiment(module, name, tracer=Tracer()).to_stats()
+        for phases in (doc["env"]["phases"], doc["result"]["phases"]):
+            assert [e["phase"] for e in phases] == list(EXPERIMENTS[name])
+        for timing in doc["env"]["phases"]:
+            assert timing["duration_ns"] >= 0
+        for entry in doc["result"]["phases"]:
             for key in ("instructions", "moves", "phis",
                         "copies_inserted", "copies_removed"):
                 assert isinstance(entry["delta"][key], int)
@@ -220,57 +192,41 @@ class TestPhaseBreakdown:
     def test_deltas_telescope_to_totals(self):
         module = module_of(LOOPY)
         result = run_experiment(module, "Lphi,ABI+C", tracer=Tracer())
-        first = result.phase_breakdown[0]
-        last = result.phase_breakdown[-1]
-        summed = sum(e["delta"]["instructions"]
-                     for e in result.phase_breakdown)
+        phases = result.to_stats()["result"]["phases"]
+        first = phases[0]
+        last = phases[-1]
+        summed = sum(e["delta"]["instructions"] for e in phases)
         initial = sum(f["before"]["instructions"]
                       for f in first["functions"].values())
         final = sum(f["after"]["instructions"]
                     for f in last["functions"].values())
         assert initial + summed == final
         assert final == result.instructions
-        moves_summed = sum(e["delta"]["moves"]
-                           for e in result.phase_breakdown)
+        moves_summed = sum(e["delta"]["moves"] for e in phases)
         initial_moves = sum(f["before"]["moves"]
                             for f in first["functions"].values())
         assert initial_moves + moves_summed == result.moves
 
     def test_stats_deterministic_across_identical_runs(self):
         module = module_of(LOOPY)
-
-        def strip_timing(result):
-            return [
-                {"phase": e["phase"], "delta": e["delta"],
-                 "functions": e["functions"]}
-                for e in result.phase_breakdown]
-
-        one = run_experiment(module, "Lphi,ABI+C", verify=[("main", [5])],
-                             tracer=Tracer())
-        two = run_experiment(module, "Lphi,ABI+C", verify=[("main", [5])],
-                             tracer=Tracer())
-        assert strip_timing(one) == strip_timing(two)
-
-        def decisions(result):
-            # Code-cache traffic and compile time depend on what ran
-            # before (the cache is process-global); every decision
-            # counter must replay exactly.
-            from repro.observability.statdiff import \
-                ENVIRONMENT_COUNTER_PREFIXES
-            return {name: value
-                    for name, value in result.tracer.counters.items()
-                    if not name.startswith(ENVIRONMENT_COUNTER_PREFIXES)}
-
-        assert decisions(one) == decisions(two)
-        assert len(one.tracer.events) == len(two.tracer.events)
-        assert one.phase_stats == two.phase_stats
+        one, two = (run_experiment(module, "Lphi,ABI+C",
+                                   verify=[("main", [5])],
+                                   tracer=Tracer()).to_stats()
+                    for _ in range(2))
+        # Per-phase deltas, phase_stats and every decision counter
+        # replay exactly; code-cache traffic depends on what ran before
+        # (the cache is process-global) and lives in ``env``.
+        assert one["result"] == two["result"]
+        assert one["result"]["counters"] and one["result"]["phases"]
+        assert one["env"]["events"] == two["env"]["events"]
 
     def test_phase_table_renders(self):
         module = module_of(LOOPY)
         result = run_experiment(module, "Lphi,ABI+C", tracer=Tracer())
-        text = phase_table(result.phase_breakdown)
+        text = phase_table(result.to_stats())
         assert "pinningPhi" in text and "dmoves" in text
-        assert phase_table([]).startswith("(no per-phase stats")
+        untraced = run_experiment(module, "Lphi,ABI+C").to_stats()
+        assert phase_table(untraced).startswith("(no per-phase stats")
 
     def test_summary_renders(self):
         tracer = Tracer()
@@ -338,16 +294,20 @@ class TestStatsDocument:
         doc = result.to_stats()
         validate_stats(doc)
         assert json.loads(result.to_json()) == doc
-        assert doc["totals"]["moves"] == result.moves
-        assert doc["counters"] == result.tracer.counters
-        assert doc["phase_stats"]["pinningPhi"]["main"]["gain"] >= 0
+        assert doc["result"]["totals"]["moves"] == result.moves
+        assert doc["result"]["counters"] == result.tracer.counters
+        assert doc["result"]["phase_stats"]["pinningPhi"]["main"]["gain"] \
+            >= 0
+        assert not any(name.startswith("analysis.")
+                       for name in result.tracer.counters)
 
     def test_null_tracer_doc_still_validates(self):
         module = module_of(LOOPY)
         result = run_experiment(module, "C")
         doc = result.to_stats()
         validate_stats(doc)
-        assert doc["phases"] == [] and doc["counters"] == {}
+        assert doc["result"]["phases"] == [] == doc["env"]["phases"]
+        assert doc["result"]["counters"] == {}
 
     def test_validator_rejects_bad_documents(self):
         module = module_of(LOOPY)
@@ -356,11 +316,15 @@ class TestStatsDocument:
         for mutate in (
                 lambda d: d.pop("schema"),
                 lambda d: d.__setitem__("schema", "repro.stats/v0"),
-                lambda d: d["totals"].__setitem__("moves", "1"),
-                lambda d: d["phases"][0]["delta"].pop("moves"),
-                lambda d: d["phases"][0].__setitem__("duration_ns", -1),
-                lambda d: d["counters"].__setitem__("x", True),
-                lambda d: d.pop("events"),
+                lambda d: d["result"]["totals"].__setitem__("moves", "1"),
+                lambda d: d["result"]["phases"][0]["delta"].pop("moves"),
+                lambda d: d["env"]["phases"][0].__setitem__(
+                    "duration_ns", -1),
+                lambda d: d["env"]["phases"].pop(),
+                lambda d: d["result"]["counters"].__setitem__("x", True),
+                lambda d: d["env"].pop("events"),
+                lambda d: d["env"]["interp"].pop("code_cache"),
+                lambda d: d.pop("result"),
         ):
             bad = json.loads(json.dumps(doc))
             mutate(bad)
@@ -382,36 +346,77 @@ class TestStatsDocument:
         result = run_experiment(module, "C", tracer=Tracer(),
                                 cache=str(tmp_path / "cache"))
         doc = result.to_stats()
-        assert doc["schema"] == "repro.stats/v1.6"
+        assert doc["schema"] == "repro.stats/v2"
         validate_stats(doc)
         for key in ("hits", "misses", "stores", "evictions", "bytes"):
-            assert isinstance(doc["cache"][key], int)
+            assert isinstance(doc["env"]["cache"][key], int)
         for mutate in (
-                lambda d: d["cache"].pop("misses"),
-                lambda d: d["cache"].__setitem__("hits", "3"),
-                lambda d: d.__setitem__("cache", [1, 2]),
+                lambda d: d["env"]["cache"].pop("misses"),
+                lambda d: d["env"]["cache"].__setitem__("hits", "3"),
+                lambda d: d["env"].__setitem__("cache", [1, 2]),
         ):
             bad = json.loads(json.dumps(doc))
             mutate(bad)
             with pytest.raises(SchemaError):
                 validate_stats(bad)
 
-    def test_older_schemas_stay_accepted(self):
+    def test_v1_schemas_are_rejected_naming_v2(self):
         module = module_of(LOOPY)
         doc = run_experiment(module, "C", tracer=Tracer()).to_stats()
-        for old in ("repro.stats/v1", "repro.stats/v1.1",
-                    "repro.stats/v1.2", "repro.stats/v1.3",
-                    "repro.stats/v1.4"):
+        for old in ("repro.stats/v1", "repro.stats/v1.3",
+                    "repro.stats/v1.6"):
             relabelled = json.loads(json.dumps(doc))
             relabelled["schema"] = old
-            if old in ("repro.stats/v1", "repro.stats/v1.1",
-                       "repro.stats/v1.2"):
-                # pre-v1.3 documents lack the oracle counters
-                relabelled.get("analysis_cache", {}).pop(
-                    "oracle_hits", None)
-                relabelled.get("analysis_cache", {}).pop(
-                    "oracle_misses", None)
-            validate_stats(relabelled)
+            with pytest.raises(SchemaError, match="repro.stats/v2"):
+                validate_stats(relabelled)
+
+
+class TestDigestIdentity:
+    """One ``stats_digest`` for one traced, verified run of a suite
+    module at any job count, cache temperature and interpreter tier:
+    everything that varies between them lives in ``env``."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        from repro.benchgen import load_suite
+
+        return load_suite("VALcc1")
+
+    @pytest.fixture(scope="class")
+    def reference(self, suite):
+        return self._run(suite).to_stats()
+
+    @staticmethod
+    def _run(suite, **kwargs):
+        return run_experiment(suite.module, "Lphi,ABI+C",
+                              verify=suite.verify, tracer=Tracer(),
+                              **kwargs)
+
+    @pytest.mark.parametrize("tier", ["reference", "compiled"])
+    @pytest.mark.parametrize("cache", ["none", "cold", "warm"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_digest(self, suite, reference, tmp_path, monkeypatch,
+                        jobs, cache, tier):
+        from repro.observability import stats_digest
+        from repro.parallel import fork_available
+
+        if jobs > 1 and not fork_available():
+            pytest.skip("platform lacks fork")
+        monkeypatch.setenv("REPRO_INTERP", tier)
+        directory = None if cache == "none" else str(tmp_path / "cache")
+        if cache == "warm":
+            self._run(suite, cache=directory)
+        doc = self._run(suite, jobs=jobs, cache=directory).to_stats()
+        validate_stats(doc)
+        assert doc["env"]["interp"]["tier"] == tier
+        if cache == "warm":
+            assert doc["env"]["cache"]["hits"] == len(suite.module.functions)
+        if jobs > 1:
+            assert doc["env"]["parallel"]["workers"] == 2
+        assert doc["result"]["counters"]["interp.runs"] == \
+            2 * len(suite.verify)
+        assert doc["result"] == reference["result"]
+        assert stats_digest(doc) == stats_digest(reference)
 
 
 class TestCoalescerDecisionEvents:

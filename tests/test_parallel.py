@@ -1,14 +1,13 @@
 """The parallel compilation driver: determinism, merging, fallbacks.
 
 The contract under test is the acceptance bar of the parallel engine:
-paper-metric output (and every non-timing field of the stats document)
-must be **identical at any job count**.  Timing fields
-(``seq``/``start_ns``/``duration_ns``, wall clocks) and the
-``parallel`` block itself are explicitly non-deterministic and are
-stripped before comparison.
+paper-metric output -- the module text and the stats document's whole
+``result`` block -- must be **identical at any job count**, and so must
+the summed ``analysis_cache`` traffic and event count in ``env``.
+Timing and the ``parallel`` block are ``env`` too and differ by
+design.
 """
 
-import copy
 import os
 
 import pytest
@@ -18,7 +17,7 @@ from repro.ir.printer import format_module
 from repro.metrics import count_instructions
 from repro.observability import Tracer, validate_stats
 from repro.parallel import fork_available, partition, resolve_jobs
-from repro.pipeline import (TABLE_EXPERIMENTS, PhaseOptions,
+from repro.pipeline import (EXPERIMENTS, TABLE_EXPERIMENTS, PhaseOptions,
                             run_experiment, run_experiments, run_table,
                             run_table5)
 
@@ -27,17 +26,11 @@ from helpers import module_of
 pytestmark = pytest.mark.skipif(not fork_available(),
                                 reason="platform lacks fork")
 
-TIMING_KEYS = ("seq", "start_ns", "duration_ns")
-
-
-def strip_timing(doc: dict) -> dict:
-    """A stats document minus its documented non-deterministic fields."""
-    doc = copy.deepcopy(doc)
-    doc.pop("parallel", None)
-    for entry in doc.get("phases", ()):
-        for key in TIMING_KEYS:
-            entry.pop(key, None)
-    return doc
+def deterministic(doc: dict) -> tuple:
+    """What a run must reproduce at any job count: the ``result`` block
+    plus the ``env`` figures the workers' runs sum to."""
+    env = doc["env"]
+    return doc["result"], env["analysis_cache"], env["events"]
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +113,7 @@ class TestSerialParallelEquivalence:
             if jobs > 1:
                 assert result.parallel, "parallel block missing"
             validate_stats(result.to_stats())
-            doc = strip_timing(result.to_stats())
+            doc = deterministic(result.to_stats())
             text = format_module(result.module)
             if reference is None:
                 reference = (doc, text)
@@ -168,6 +161,33 @@ class TestSerialParallelEquivalence:
             [(r.moves, r.weighted) for r in parallel]
 
 
+class TestWorkerPayload:
+    def test_phases_carry_records_not_deltas(self, kernels):
+        """A worker ships each phase's per-function ``before``/``after``
+        records; only the parent derives deltas, once, and the merged
+        ``result`` equals the serial one."""
+        from repro.parallel import Job, merge_job, run_units
+
+        name = "Lphi,ABI+C"
+        workers, pool_ns, (payloads,) = run_units(
+            [Job(kernels.module, name, EXPERIMENTS[name])], jobs=2,
+            traced=True)
+        assert len(payloads) == 2
+        for payload in payloads:
+            assert [e["phase"] for e in payload["phases"]] == \
+                list(EXPERIMENTS[name])
+            for entry in payload["phases"]:
+                assert set(entry) == {"phase", "seq", "start_ns",
+                                      "duration_ns", "functions"}
+                assert entry["functions"]
+                for record in entry["functions"].values():
+                    assert set(record) == {"before", "after"}
+        merged = merge_job(kernels.module, name, payloads, tracer=Tracer(),
+                           workers=workers, pool_ns=pool_ns)
+        serial = run_experiment(kernels.module, name, tracer=Tracer())
+        assert merged.to_stats()["result"] == serial.to_stats()["result"]
+
+
 class TestTableParameterThreading:
     """Regression: run_table/run_table5 used to drop ``tracer``,
     ``validate`` and ``options``, so table stats documents had empty
@@ -180,7 +200,7 @@ class TestTableParameterThreading:
             assert result.phase_breakdown, result.name
             assert result.tracer.enabled
             doc = result.to_stats()
-            assert doc["phases"], result.name
+            assert doc["result"]["phases"], result.name
             validate_stats(doc)
 
     def test_run_table_tracers_are_per_run(self):
@@ -212,8 +232,8 @@ class TestTableParameterThreading:
         parallel = run_experiments(kernels.module, ["Lphi+C", "C"],
                                    tracer=Tracer, jobs=2)
         for left, right in zip(serial, parallel):
-            assert strip_timing(left.to_stats()) == \
-                strip_timing(right.to_stats())
+            assert deterministic(left.to_stats()) == \
+                deterministic(right.to_stats())
 
 
 class TestFallbacks:
@@ -355,16 +375,17 @@ class TestWorkerPool:
 class TestPhaseEntryUnion:
     """Regression: the per-phase delta iterated only the *after*
     measures, silently dropping functions removed by a phase from the
-    deltas.  ``_phase_delta`` is the one place every path (serial loop,
-    cache hits, worker payloads) computes a ``phases[]`` delta."""
+    deltas.  ``_phase_records`` builds every part's per-function
+    records over the union of both maps, and ``_phase_delta`` is the
+    one place a ``result.phases[]`` delta is computed."""
 
     def test_removed_function_reported_with_zero_after(self):
-        from repro.pipeline import _phase_delta
+        from repro.pipeline import _phase_delta, _phase_records
 
         before = {"keep": {"instructions": 4, "moves": 1, "phis": 0},
                   "gone": {"instructions": 10, "moves": 3, "phis": 2}}
         after = {"keep": {"instructions": 3, "moves": 1, "phis": 0}}
-        entry = _phase_delta(before, after)
+        entry = _phase_delta(_phase_records(before, after))
         assert set(entry["functions"]) == {"keep", "gone"}
         gone = entry["functions"]["gone"]
         assert gone["after"] == {"instructions": 0, "moves": 0, "phis": 0}
@@ -376,11 +397,11 @@ class TestPhaseEntryUnion:
         assert entry["delta"]["copies_inserted"] == 0
 
     def test_added_function_still_counted(self):
-        from repro.pipeline import _phase_delta
+        from repro.pipeline import _phase_delta, _phase_records
 
         before = {}
         after = {"new": {"instructions": 5, "moves": 2, "phis": 1}}
-        entry = _phase_delta(before, after)
+        entry = _phase_delta(_phase_records(before, after))
         new = entry["functions"]["new"]
         assert new["before"] == {"instructions": 0, "moves": 0, "phis": 0}
         assert entry["delta"]["instructions"] == 5
