@@ -41,7 +41,7 @@ from .lai import LaiSyntaxError, parse_module
 from .observability import (COLLECTION_SCHEMA, Tracer, pass_profile,
                             phase_table, summary, write_chrome_trace)
 from .pipeline import (EXPERIMENTS, PhaseOptions, run_experiment,
-                       run_experiments, run_table, table5_variants)
+                       run_experiments, table5_variants)
 
 
 def _load(path: str):
@@ -174,29 +174,38 @@ def cmd_tables(args) -> int:
     from .pipeline import TABLE_EXPERIMENTS
 
     suites = all_suites()
-    runs = []
+    names = [name for experiments in TABLE_EXPERIMENTS.values()
+             for name in experiments]
+    #: suite -> experiment -> (table cell, stats document or None).
+    cells: dict = {}
     with shared_pool(args.jobs) as pool:
-        for table, experiments in TABLE_EXPERIMENTS.items():
-            print(f"--- {table} ---")
-            header = "suite".ljust(13) + "".join(
-                e.rjust(14) for e in experiments)
-            print(header)
-            for suite in suites:
-                results = run_table(
-                    suite.module, table,
-                    tracer=Tracer if args.stats_json else None,
-                    jobs=args.jobs, cache=args.cache_dir, pool=pool)
-                cells = []
-                for result in results:
-                    value = result.weighted if args.weighted \
-                        else result.moves
-                    cells.append(str(value).rjust(14))
-                    if args.stats_json:
-                        document = result.to_stats()
-                        document["table"] = table
-                        document["suite"] = suite.name
-                        runs.append(document)
-                print(suite.name.ljust(13) + "".join(cells))
+        # One call per suite: serially, its experiments share their
+        # phase prefixes through one plan; with a pool, all their units
+        # are one batch.
+        for suite in suites:
+            results = run_experiments(
+                suite.module, names,
+                tracer=Tracer if args.stats_json else None,
+                jobs=args.jobs, cache=args.cache_dir, pool=pool)
+            cells[suite.name] = {
+                result.name: (result.weighted if args.weighted
+                              else result.moves,
+                              result.to_stats() if args.stats_json
+                              else None)
+                for result in results}
+    runs = []
+    for table, experiments in TABLE_EXPERIMENTS.items():
+        print(f"--- {table} ---")
+        print("suite".ljust(13) + "".join(e.rjust(14) for e in experiments))
+        for suite in suites:
+            row = suite.name.ljust(13)
+            for name in experiments:
+                value, document = cells[suite.name][name]
+                row += str(value).rjust(14)
+                if document is not None:
+                    runs.append({**document, "table": table,
+                                 "suite": suite.name})
+            print(row)
     if args.stats_json:
         _write_json(args.stats_json,
                     {"schema": COLLECTION_SCHEMA, "runs": runs})

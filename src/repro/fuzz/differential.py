@@ -49,7 +49,7 @@ from ..interp import InterpreterError, TierDivergence, run_module
 from ..ir.printer import format_module
 from ..ir.types import Var
 from ..lai import parse_module
-from ..pipeline import (EXPERIMENTS, PhaseOptions, ensure_ssa,
+from ..pipeline import (EXPERIMENTS, PhaseOptions, PrefixPlan, ensure_ssa,
                         run_experiment, table5_variants)
 
 #: Check names in execution order.
@@ -414,10 +414,13 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
         runs += [(f"{ANCHOR_COMPOSITION}[{label}]", ANCHOR_COMPOSITION,
                   options)
                  for label, options in table5_variants().items()]
+    # One plan over every run: each shared phase prefix runs once.
+    plan = PrefixPlan([(EXPERIMENTS[name], options)
+                       for _, name, options in runs])
     for label, name, options in runs:
         try:
             experiment = run_experiment(module, name, options=options,
-                                        verify=verify, jobs=1)
+                                        verify=verify, jobs=1, prefix=plan)
         except Exception as exc:  # noqa: BLE001 - crash vs behaviour both count
             kind = type(exc).__name__
             if isinstance(exc, AssertionError):
@@ -429,6 +432,7 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
         result.moves[label] = experiment.moves
         if label == ANCHOR_COMPOSITION:
             anchor = format_module(experiment.module)
+        del experiment  # released before the next run starts
 
     if "invariants" in checks:
         for lhs, rhs in invariants:

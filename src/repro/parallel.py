@@ -58,7 +58,7 @@ from .ir.function import Module
 from .machine.st120 import ST120
 from .machine.target import Target
 from .metrics import count_instructions
-from .observability import Tracer
+from .observability import NULL_TRACER, Tracer
 from .observability import resolve as resolve_tracer
 
 #: The integer keys of the ``analysis_cache`` block, in the canonical
@@ -118,7 +118,7 @@ def partition(units: Sequence[tuple[int, object]],
 def shard_module(module: Module, names: Sequence[str]) -> Module:
     """A module holding just *names*' functions (externals stripped --
     they are arbitrary callables, never pickled to a pool worker;
-    ``run_phases`` copies, so sharing the Function objects is safe)."""
+    ``compile_parts`` copies, so sharing the Function objects is safe)."""
     shard = Module(module.name)
     for fn_name in names:
         shard.add_function(module.functions[fn_name])
@@ -147,52 +147,55 @@ def _pool_ping(delay: float = 0.0) -> int:
 
 def _compile_units(spec) -> list:
     """The worker task: run each job's slice of this shard through the
-    phase pipeline.  Returns ``(job index, payload or exception)``
-    pairs; one job's failure never touches its shard-mates (or trips
-    the pool's respawn logic)."""
-    from . import pipeline as _pipeline
+    phase pipeline (:func:`repro.pipeline.compile_parts`, without the
+    ``verified_run`` frame: the parent replays ``verify=`` and counts
+    the paper metrics on the merged module).  Returns ``(job index,
+    payload or exception)`` pairs; one job's failure never touches its
+    shard-mates (or trips the pool's respawn logic).
 
-    subjobs, target, validate, traced, cache = spec
-    out = []
-    for j, shard, name, phases, options in subjobs:
-        tracer = Tracer() if traced else None
-        start = time.perf_counter_ns()
-        try:
-            result = _pipeline.run_phases(shard, name, phases, options,
-                                          target, None, validate, tracer,
-                                          cache=cache)
-        except Exception as error:  # noqa: BLE001 -- per-job isolation
-            # Unpickles as *error* with the worker's traceback as its
-            # __cause__, exactly what a failed future would raise.
-            out.append((j, _ExceptionWithTraceback(error,
-                                                   error.__traceback__)))
-        else:
-            out.append((j, _result_payload(
-                result, time.perf_counter_ns() - start)))
-    return out
-
-
-def _result_payload(result, wall_ns: int) -> dict:
-    """What a worker sends back: its run as a part of
+    A payload is the worker's run folded into one part of
     :func:`repro.pipeline.fold` -- per-function ``before``/``after``
     records, no deltas: only the parent derives those -- plus the
     environment blocks :func:`merge_job` sums (the module's externals
     -- arbitrary callables -- and the live tracer object stay
     behind)."""
-    tracer = result.tracer
-    return {
-        "functions": dict(result.module.functions),
-        "phase_stats": result.phase_stats,
-        # A worker's span seqs mean nothing in the parent: a merged
-        # phase's ``seq`` is its index.
-        "phases": [{**entry, "seq": i}
-                   for i, entry in enumerate(result.phase_breakdown)],
-        "counters": tracer.counters if tracer.enabled else {},
-        "analysis_cache": result.analysis_cache,
-        "cache": result.cache,
-        "tracer": _tracer_payload(tracer) if tracer.enabled else None,
-        "wall_ns": wall_ns,
-    }
+    from . import pipeline as _pipeline
+    from .analysis.manager import AnalysisManager
+
+    subjobs, target, validate, traced, cache = spec
+    out = []
+    for j, shard, phases, options in subjobs:
+        tracer = Tracer() if traced else NULL_TRACER
+        manager = AnalysisManager()
+        cache_mark = cache.stats() if cache is not None else None
+        start = time.perf_counter_ns()
+        try:
+            parts = _pipeline.compile_parts(
+                shard, phases, options or _pipeline.PhaseOptions(), target,
+                validate, tracer, manager, cache)
+            merged, phase_stats, breakdown = \
+                _pipeline.fold(shard, parts, tracer)
+        except Exception as error:  # noqa: BLE001 -- per-job isolation
+            # Unpickles as *error* with the worker's traceback as its
+            # __cause__, exactly what a failed future would raise.
+            out.append((j, _ExceptionWithTraceback(error,
+                                                   error.__traceback__)))
+            continue
+        out.append((j, {
+            "functions": merged.functions,
+            "phase_stats": phase_stats,
+            # A worker's span seqs mean nothing in the parent: a merged
+            # phase's ``seq`` is its index.
+            "phases": [{**entry, "seq": i}
+                       for i, entry in enumerate(breakdown)],
+            "counters": tracer.counters if traced else {},
+            "analysis_cache": manager.stats(),
+            "cache": cache.stats_since(cache_mark)
+            if cache is not None else {},
+            "tracer": _tracer_payload(tracer) if traced else None,
+            "wall_ns": time.perf_counter_ns() - start,
+        }))
+    return out
 
 
 def _tracer_payload(tracer: Tracer) -> dict:
@@ -360,8 +363,7 @@ def run_units(batch: Sequence[Job], jobs: Optional[int] = None,
         for j, fn_name in shard:
             grouped.setdefault(j, []).append(fn_name)
         subjobs = [(j, shard_module(batch[j].module, names),
-                    batch[j].name, tuple(batch[j].phases),
-                    batch[j].options)
+                    tuple(batch[j].phases), batch[j].options)
                    for j, names in sorted(grouped.items())]
         specs.append((subjobs, target, validate, traced, cache))
     start = time.perf_counter_ns()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .analysis.manager import AnalysisManager
@@ -222,7 +222,9 @@ def run_experiment(module: Module, name: str,
                    tracer=None,
                    jobs: Optional[int] = None,
                    cache=None,
-                   pool=None) -> ExperimentResult:
+                   pool=None,
+                   prefix: Optional["PrefixPlan"] = None) \
+        -> ExperimentResult:
     """Run experiment *name* on a fresh copy of *module*.
 
     ``verify`` is an optional list of ``(function_name, args)`` pairs;
@@ -241,7 +243,11 @@ def run_experiment(module: Module, name: str,
     tracer never changes a single output byte.  ``pool`` (a
     :class:`~repro.parallel.WorkerPool`) reuses a persistent executor
     instead of forking per call -- same merge, same bytes, no per-call
-    fork cost.
+    fork cost.  ``prefix`` (a :class:`PrefixPlan` over a fixed sequence
+    of runs on *module*) lets this run resume from a phase prefix an
+    earlier run of the sequence already executed; same bytes, same
+    ``result`` block.  It is used on the serial path only, and never
+    with a cache: a cache hit already skips every phase.
     """
     phases = EXPERIMENTS[name]
     from .cache import resolve_cache
@@ -256,7 +262,8 @@ def run_experiment(module: Module, name: str,
                                    verify, validate, tracer, jobs=jobs,
                                    cache=cache, pool=pool)
     return run_phases(module, name, phases, options, target, verify,
-                      validate, tracer, cache=cache)
+                      validate, tracer, cache=cache,
+                      prefix=prefix if cache is None else None)
 
 
 def _snapshot(module: Module) -> dict[str, dict[str, int]]:
@@ -383,9 +390,7 @@ def fold(module: Module, parts: Sequence[dict],
     breakdown = []
     if tracer.enabled:
         for part in parts:
-            for counter, value in part["counters"].items():
-                tracer.counters[counter] = \
-                    tracer.counters.get(counter, 0) + value
+            _replay(tracer, part["counters"])
         for i in range(max((len(part["phases"]) for part in parts),
                            default=0)):
             entries = [part["phases"][i] for part in parts
@@ -404,13 +409,42 @@ def fold(module: Module, parts: Sequence[dict],
                     for phase, stats in phase_stats.items()}, breakdown
 
 
+def _replay(tracer, counters: dict) -> None:
+    """Add recorded counter deltas onto *tracer* (a recording one)."""
+    for counter, value in counters.items():
+        tracer.counters[counter] = tracer.counters.get(counter, 0) + value
+
+
+def _counters_since(tracer, base: Optional[dict]) -> dict:
+    """*tracer*'s counter deltas since the snapshot *base* (``None``
+    under the null tracer, which counts nothing)."""
+    if base is None:
+        return {}
+    return {counter: value - base.get(counter, 0)
+            for counter, value in tracer.counters.items()
+            if value != base.get(counter, 0)}
+
+
+def _verify_before(module: Module, verify, tracer) -> dict:
+    """``(function, args) -> observable`` of every *verify* call on the
+    input *module*: the references ``verify:after`` compares with."""
+    references = {}
+    with tracer.span("verify:before"):
+        for fn_name, args in verify:
+            references[(fn_name, tuple(args))] = \
+                run_module(module, fn_name, args, tracer=tracer).observable()
+    return references
+
+
 @contextlib.contextmanager
 def verified_run(module: Module, name: str, verify, tracer,
-                 analyses: Optional[AnalysisManager] = None):
+                 analyses: Optional[AnalysisManager] = None,
+                 prefix: Optional["PrefixPlan"] = None):
     """The frame of every run, serial or merged from workers.
 
     Opens the ``experiment:`` span, replays ``verify:before`` on the
-    input *module* and yields ``(result, span)``.  The caller sets
+    input *module* (or takes its references from *prefix*, see
+    :class:`PrefixPlan`) and yields ``(result, span)``.  The caller sets
     ``result.module`` (through :func:`fold`); on exit the same calls
     are replayed on it (``verify:after``, raising on any changed
     behaviour), the paper metrics are counted and the interpreter's
@@ -421,11 +455,9 @@ def verified_run(module: Module, name: str, verify, tracer,
     references = {}
     with tracer.span(f"experiment:{name}", experiment=name) as root:
         if verify:
-            with tracer.span("verify:before"):
-                for fn_name, args in verify:
-                    references[(fn_name, tuple(args))] = \
-                        run_module(module, fn_name, args,
-                                   tracer=tracer).observable()
+            references = prefix.references(module, verify, tracer) \
+                if prefix is not None \
+                else _verify_before(module, verify, tracer)
         yield result, root
         work = result.module
         if references:
@@ -444,6 +476,123 @@ def verified_run(module: Module, name: str, verify, tracer,
                          "code_cache": CODE_CACHE.stats_since(code_mark)}
 
 
+def _part(module: Module) -> dict:
+    """An empty part over *module*'s functions (see :func:`fold`)."""
+    return {"functions": module.functions, "phase_stats": {}, "phases": [],
+            "counters": {}}
+
+
+def compile_parts(module: Module, phases: tuple, options: PhaseOptions,
+                  target: Target, validate: bool, tracer,
+                  manager: AnalysisManager, cache=None,
+                  prefix: Optional["PrefixPlan"] = None) -> list[dict]:
+    """The phase pipeline without its frame: run *phases* over a copy
+    of *module* and return the run as :func:`fold` parts -- the loop's
+    own part first, then one part per cache hit.
+
+    With *cache*, each function is probed first: a hit leaves the
+    working module (its entry is a one-function part) and every miss
+    is stored after the loop.  With *prefix* (never together with a
+    cache), the loop resumes from the plan's stored state for this
+    run's longest shared prefix and stores a state at every node a
+    later run resumes from.  :func:`run_phases` wraps this in its
+    :func:`verified_run` frame; a parallel worker calls it directly,
+    since the parent counts the paper metrics on the merged module.
+    """
+    start, in_ssa = 0, False
+    if prefix is not None:
+        work, local, start, in_ssa = prefix.resume(module, tracer)
+    else:
+        work = module.copy()
+        local = _part(work)
+    hits: list[dict] = []
+    miss_keys: dict[str, str] = {}
+    if cache is not None:
+        with tracer.span("cache:probe", functions=len(work.functions)):
+            for function in list(work.iter_functions()):
+                key = cache.key(function, phases, options, target)
+                payload = cache.probe(key)
+                if payload is None:
+                    miss_keys[function.name] = key
+                else:
+                    hits.append(payload)
+                    del work.functions[function.name]
+    #: Each miss's decision counter deltas, so its stored entry can
+    #: replay them on a hit (the loop's own counters are already on the
+    #: tracer).
+    counters: dict[str, dict] = {fn_name: {} for fn_name in miss_keys}
+    recording = bool(miss_keys)
+
+    #: function -> (epoch, cfg_epoch, in_ssa) at its last clean
+    #: validation.  A phase that left both epochs alone (pin-only
+    #: phases by contract, or a fixpoint pass that found nothing to
+    #: do) cannot have changed what the validator looks at -- pins
+    #: are resources, not IR -- so the check is skipped.
+    validated: dict[Function, tuple[int, int, bool]] = {}
+    for depth in range(start, len(phases)):
+        phase = phases[depth]
+        runner = _phase_runner(phase, options, target, tracer, manager)
+        before = _snapshot(work) if tracer.enabled or recording else None
+        with tracer.span(f"phase:{phase}", phase=phase) as span:
+            stats = None if phase == "ssa" else {}
+            capture = tracer.enabled and recording
+            for function in work.iter_functions():
+                base = dict(tracer.counters) if capture else None
+                value = runner(function)
+                if stats is not None:
+                    stats[function.name] = value
+                if base is not None:
+                    deltas = counters[function.name]
+                    for counter, delta in \
+                            _counters_since(tracer, base).items():
+                        deltas[counter] = deltas.get(counter, 0) + delta
+        if phase == "ssa":
+            in_ssa = True
+        elif phase == "out-of-pinned-ssa":
+            in_ssa = False
+        if before is not None:
+            entry = {"phase": phase, "functions":
+                     _phase_records(before, _snapshot(work))}
+            if span is not None:  # null tracer: no timing to keep
+                entry.update(seq=span.seq, start_ns=span.start_ns,
+                             duration_ns=span.duration_ns)
+            local["phases"].append(entry)
+        for function in work.iter_functions():
+            manager.invalidate(function, preserves=PHASE_PRESERVES[phase])
+        if stats is not None:
+            local["phase_stats"][phase] = stats
+        if validate:
+            with tracer.span(f"validate:{phase}"):
+                for function in work.iter_functions():
+                    stamp = (function.epoch, function.cfg_epoch, in_ssa)
+                    if validated.get(function) == stamp:
+                        continue
+                    validate_function(function, ssa=in_ssa,
+                                      allow_phis=in_ssa)
+                    validated[function] = stamp
+        if prefix is not None:
+            prefix.passed(depth + 1, work, local, in_ssa, tracer)
+
+    if miss_keys:
+        with tracer.span("cache:store", functions=len(miss_keys)):
+            for fn_name, key in miss_keys.items():
+                function = work.functions.get(fn_name)
+                if function is None:
+                    continue  # removed by a pass: nothing to replay
+                cache.store(key, {
+                    "functions": {fn_name: function},
+                    "phase_stats": {
+                        phase: {fn_name: stats[fn_name]}
+                        for phase, stats in local["phase_stats"].items()},
+                    "phases": [
+                        {"phase": entry["phase"], "functions": {
+                            fn_name: entry["functions"][fn_name]}}
+                        for entry in local["phases"]],
+                    "counters": counters[fn_name],
+                })
+    return [local, *hits]
+
+
 def run_phases(module: Module, name: str, phases: Iterable[str],
                options: Optional[PhaseOptions] = None,
                target: Target = ST120,
@@ -451,128 +600,191 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                validate: bool = True,
                tracer=None,
                cache=None,
-               analyses: Optional[AnalysisManager] = None) \
+               analyses: Optional[AnalysisManager] = None,
+               prefix: Optional["PrefixPlan"] = None) \
         -> ExperimentResult:
+    """Run *phases* on a copy of *module* inside the
+    :func:`verified_run` frame (see :func:`run_experiment` for the
+    arguments; *prefix* is a :class:`PrefixPlan`, which runs uncached
+    only).  ``env.analysis_cache`` covers the phases, not the metric
+    counting after them."""
     tracer = resolve_tracer(tracer)
     options = options or PhaseOptions()
     phases = tuple(phases)
-    work = module.copy()
+    if prefix is not None:
+        if cache is not None:
+            raise ValueError("a prefix plan runs uncached: a cache hit "
+                             "already skips every phase")
+        prefix.begin(module, phases, options, verify, target, validate,
+                     tracer)
     # ``analyses`` lets a long-lived caller (the serve serial path) keep
     # one process-lifetime manager across runs; its ``analysis_cache``
     # block then reports this run's deltas, not lifetime totals.
     manager = analyses if analyses is not None else AnalysisManager()
     analysis_mark = manager.stats()
     cache_mark = cache.stats() if cache is not None else None
-    with verified_run(module, name, verify, tracer, manager) as (result, _):
-        # Cache probe: hit functions leave the working module entirely
-        # (each entry is a one-function part, folded in after the phase
-        # loop); only misses flow through the phases below.
-        hits: list[dict] = []
-        miss_keys: dict[str, str] = {}
-        if cache is not None:
-            with tracer.span("cache:probe",
-                             functions=len(work.functions)):
-                for function in list(work.iter_functions()):
-                    key = cache.key(function, phases, options, target)
-                    payload = cache.probe(key)
-                    if payload is None:
-                        miss_keys[function.name] = key
-                    else:
-                        hits.append(payload)
-                        del work.functions[function.name]
-        #: This loop's output as a part.  Its counters are already on
-        #: the tracer; ``counters`` below keeps each miss's decision
-        #: counter deltas so its stored entry can replay them on a hit.
-        local: dict = {"functions": work.functions, "phase_stats": {},
-                       "phases": [], "counters": {}}
-        counters: dict[str, dict] = {fn_name: {} for fn_name in miss_keys}
-        recording = bool(miss_keys)
-
-        in_ssa = False
-        #: function -> (epoch, cfg_epoch, in_ssa) at its last clean
-        #: validation.  A phase that left both epochs alone (pin-only
-        #: phases by contract, or a fixpoint pass that found nothing to
-        #: do) cannot have changed what the validator looks at -- pins
-        #: are resources, not IR -- so the check is skipped.
-        validated: dict[Function, tuple[int, int, bool]] = {}
-        for phase in phases:
-            runner = _phase_runner(phase, options, target, tracer, manager)
-            before = _snapshot(work) if tracer.enabled or recording \
-                else None
-            with tracer.span(f"phase:{phase}", phase=phase) as span:
-                stats = None if phase == "ssa" else {}
-                capture = tracer.enabled and recording
-                for function in work.iter_functions():
-                    base = dict(tracer.counters) if capture else None
-                    value = runner(function)
-                    if stats is not None:
-                        stats[function.name] = value
-                    if base is not None:
-                        deltas = counters[function.name]
-                        for counter, total in tracer.counters.items():
-                            delta = total - base.get(counter, 0)
-                            if delta:
-                                deltas[counter] = \
-                                    deltas.get(counter, 0) + delta
-            if phase == "ssa":
-                in_ssa = True
-            elif phase == "out-of-pinned-ssa":
-                in_ssa = False
-            if before is not None:
-                entry = {"phase": phase, "functions":
-                         _phase_records(before, _snapshot(work))}
-                if span is not None:  # null tracer: no timing to keep
-                    entry.update(seq=span.seq, start_ns=span.start_ns,
-                                 duration_ns=span.duration_ns)
-                local["phases"].append(entry)
-            for function in work.iter_functions():
-                manager.invalidate(function,
-                                   preserves=PHASE_PRESERVES[phase])
-            if stats is not None:
-                local["phase_stats"][phase] = stats
-            if validate:
-                with tracer.span(f"validate:{phase}"):
-                    for function in work.iter_functions():
-                        stamp = (function.epoch, function.cfg_epoch, in_ssa)
-                        if validated.get(function) == stamp:
-                            continue
-                        validate_function(function, ssa=in_ssa,
-                                          allow_phis=in_ssa)
-                        validated[function] = stamp
-
+    with verified_run(module, name, verify, tracer, manager, prefix) \
+            as (result, _):
+        parts = compile_parts(module, phases, options, target, validate,
+                              tracer, manager, cache, prefix)
         result.module, result.phase_stats, result.phase_breakdown = \
-            fold(module, [local, *hits], tracer)
-
-        if miss_keys:
-            with tracer.span("cache:store", functions=len(miss_keys)):
-                for fn_name, key in miss_keys.items():
-                    function = work.functions.get(fn_name)
-                    if function is None:
-                        continue  # removed by a pass: nothing to replay
-                    cache.store(key, {
-                        "functions": {fn_name: function},
-                        "phase_stats": {
-                            phase: {fn_name: stats[fn_name]}
-                            for phase, stats
-                            in local["phase_stats"].items()},
-                        "phases": [
-                            {"phase": entry["phase"], "functions": {
-                                fn_name: entry["functions"][fn_name]}}
-                            for entry in local["phases"]],
-                        "counters": counters[fn_name],
-                    })
-
-    result.analysis_cache = manager.stats_since(analysis_mark)
+            fold(module, parts, tracer)
+        result.analysis_cache = manager.stats_since(analysis_mark)
     if cache is not None:
         result.cache = cache.stats_since(cache_mark)
     return result
+
+
+def _node_key(phases: tuple, options: PhaseOptions, depth: int) -> tuple:
+    """The trie node of ``phases[:depth]``.  ``pinningPhi`` is the only
+    phase that reads :class:`PhaseOptions`, so they are part of the key
+    from it on."""
+    head = phases[:depth]
+    return (head, astuple(options)) if "pinningPhi" in head else (head,)
+
+
+class PrefixPlan:
+    """Run each phase prefix shared by a fixed sequence of runs once.
+
+    Built from the runs' ordered ``(phases, options)`` before any of
+    them starts; each run then passes the plan as ``prefix=`` to
+    :func:`run_experiment` (or :func:`run_phases`), in that order.
+    Prefixes form a trie keyed by their phase tuple (plus the options
+    once ``pinningPhi`` is in it).  Each run *resumes* from its longest
+    prefix shared with an earlier run: the first run to pass such a
+    node stores a *state* there -- what a :func:`fold` part of the
+    prefix holds (its module, ``phase_stats``, ``phases[]`` records and
+    decision counters) plus ``in_ssa`` -- and each consumer continues
+    from a copy of it, the last one from the stored object itself,
+    after which the plan drops it.  A run whose node holds no state
+    (the run that should have stored it failed first) resumes from a
+    shallower node or from the raw module.  The ``verify:before``
+    references, and their ``interp.*`` counters, are taken once, by
+    the first run.
+
+    A resumed run replays the prefix's counters and ``phases[]``
+    entries as :func:`fold` replays a cache hit, so its ``result`` block
+    equals an unshared run's; only ``env`` differs (the prefix's timing
+    is the run that executed it; ``analysis_cache``, ``events`` and the
+    code cache count only what this run did).  A plan is bound to one module,
+    ``verify`` list, target, ``validate`` flag and tracer mode, taken
+    from its first run: a run with different ones, or out of order,
+    raises :class:`ValueError`.  Runs are strictly sequential.
+    """
+
+    def __init__(self, runs: Iterable[tuple[Sequence[str],
+                                            Optional[PhaseOptions]]]) \
+            -> None:
+        #: Per run: its phases, options (as a tuple), node keys by depth
+        #: (index 0 is the raw module) and resume depth (0: the raw
+        #: module).
+        self._runs: list[tuple[tuple, tuple, list, int]] = []
+        #: node key -> runs still to resume from it.
+        self._consumers: dict[tuple, int] = {}
+        seen: set = set()
+        for phases, options in runs:
+            phases, options = tuple(phases), options or PhaseOptions()
+            keys = [_node_key(phases, options, depth)
+                    for depth in range(len(phases) + 1)]
+            depth = len(phases)
+            while depth and keys[depth] not in seen:
+                depth -= 1
+            if depth:
+                self._consumers[keys[depth]] = \
+                    self._consumers.get(keys[depth], 0) + 1
+            seen.update(keys)
+            self._runs.append((phases, astuple(options), keys, depth))
+        #: node key -> the state stored there, until its last consumer.
+        self.states: dict[tuple, dict] = {}
+        self._module: Optional[Module] = None
+        self._binding: Optional[tuple] = None
+        self._references: Optional[dict] = None
+        self._reference_counters: dict = {}
+        self._next = 0
+        #: The current run's entry of ``_runs`` and its counters at
+        #: resume.
+        self._run: tuple = ()
+        self._base: Optional[dict] = None
+
+    def begin(self, module: Module, phases: tuple, options: PhaseOptions,
+              verify, target: Target, validate: bool, tracer) -> None:
+        """Check that this run is the plan's next one, on its binding."""
+        binding = (tuple((fn_name, tuple(args))
+                         for fn_name, args in verify or ()),
+                   target, validate, tracer.enabled)
+        if self._binding is None:
+            self._module, self._binding = module, binding
+        elif module is not self._module or binding != self._binding:
+            raise ValueError("a prefix plan is bound to one module, "
+                             "verify list, target, validate flag and "
+                             "tracer mode")
+        if self._next == len(self._runs):
+            raise ValueError(f"the prefix plan has only {self._next} runs")
+        run = self._runs[self._next]
+        if (phases, astuple(options)) != run[:2]:
+            raise ValueError(f"run {self._next} of the prefix plan is "
+                             f"{run[0]}, not {phases}")
+        self._next += 1
+        self._run = run
+
+    def references(self, module: Module, verify, tracer) -> dict:
+        """The ``verify:before`` references: taken by the first run,
+        replayed (with their counters) by every later one."""
+        if self._references is None:
+            base = dict(tracer.counters) if tracer.enabled else None
+            self._references = _verify_before(module, verify, tracer)
+            self._reference_counters = _counters_since(tracer, base)
+        elif tracer.enabled:
+            _replay(tracer, self._reference_counters)
+        return self._references
+
+    def resume(self, module: Module, tracer) -> tuple:
+        """``(work, part, depth, in_ssa)`` this run continues from: its
+        deepest prefix with a stored state, or a copy of *module*."""
+        _, _, keys, depth = self._run
+        if depth:
+            self._consumers[keys[depth]] -= 1
+        self._base = dict(tracer.counters) if tracer.enabled else None
+        for depth in range(depth, 0, -1):
+            state = self.states.get(keys[depth])
+            if state is None:
+                continue
+            if self._consumers[keys[depth]]:
+                work = state["module"].copy()
+            else:  # the last consumer takes the stored object
+                del self.states[keys[depth]]
+                work = state["module"]
+            if tracer.enabled:
+                _replay(tracer, state["counters"])
+            # The loop adds phases to both containers, never edits one.
+            part = {**_part(work),
+                    "phase_stats": dict(state["phase_stats"]),
+                    "phases": list(state["phases"])}
+            return work, part, depth, state["in_ssa"]
+        work = module.copy()
+        return work, _part(work), 0, False
+
+    def passed(self, depth: int, work: Module, part: dict, in_ssa: bool,
+               tracer) -> None:
+        """Store a copy of the run at *depth* if a later run resumes
+        there."""
+        key = self._run[2][depth]
+        if self._consumers.get(key):
+            self.states[key] = {
+                "module": work.copy(),
+                "phase_stats": dict(part["phase_stats"]),
+                "phases": list(part["phases"]),
+                "counters": _counters_since(tracer, self._base),
+                "in_ssa": in_ssa,
+            }
 
 
 def _run_labelled(module: Module, specs, verify, validate, tracer,
                   jobs, cache=None, pool=None) -> list[ExperimentResult]:
     """Run ``(label, experiment, options)`` *specs*, serially or -- when
     ``jobs``/``pool`` allow -- as one batch of ``(experiment, function)``
-    units on the parallel engine (:mod:`repro.parallel`).
+    units on the parallel engine (:mod:`repro.parallel`).  Serial runs
+    share their phase prefixes through one :class:`PrefixPlan`.
 
     ``tracer`` may be a tracer instance (shared across all runs) or a
     zero-argument factory such as the :class:`Tracer` class itself (one
@@ -591,12 +803,16 @@ def _run_labelled(module: Module, specs, verify, validate, tracer,
         validate=validate,
         traced=any(resolve_tracer(t).enabled for t in tracers),
         cache=cache)
+    plan = PrefixPlan([(EXPERIMENTS[name], options)
+                       for _, name, options in specs]) \
+        if sharded is None else None
     results = []
     for i, (label, name, options) in enumerate(specs):
         if sharded is None:
             result = run_experiment(module, name, options=options,
                                     verify=verify, validate=validate,
-                                    tracer=tracers[i], jobs=1, cache=cache)
+                                    tracer=tracers[i], jobs=1, cache=cache,
+                                    prefix=plan)
         else:
             workers, pool_ns, outcomes = sharded
             if isinstance(outcomes[i], Exception):

@@ -131,6 +131,32 @@ class TestSerialParallelEquivalence:
         assert format_module(serial.module) == \
             format_module(parallel.module)
 
+    def test_workers_leave_the_paper_metrics_to_the_parent(
+            self, kernels, monkeypatch):
+        """Workers run the phases only: moves, weighted moves and
+        instructions are counted once, on the merged module."""
+        import repro.pipeline as pipeline
+
+        parent = os.getpid()
+        counted = pipeline.weighted_moves
+
+        def parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a worker counted weighted moves")
+            return counted(*args, **kwargs)
+
+        # Patched before the per-call pool forks: workers inherit it.
+        monkeypatch.setattr(pipeline, "weighted_moves", parent_only)
+        serial = run_experiment(kernels.module, "Lphi,ABI+C",
+                                tracer=Tracer(), jobs=1)
+        parallel = run_experiment(kernels.module, "Lphi,ABI+C",
+                                  tracer=Tracer(), jobs=2)
+        assert parallel.parallel
+        assert deterministic(parallel.to_stats()) == \
+            deterministic(serial.to_stats())
+        assert format_module(parallel.module) == \
+            format_module(serial.module)
+
     def test_verify_runs_in_parallel_mode(self, kernels):
         result = run_experiment(kernels.module, "Lphi,ABI+C",
                                 verify=kernels.verify[:3], jobs=2)
