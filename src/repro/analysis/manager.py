@@ -22,9 +22,8 @@ when the previous phase changed nothing the analysis depends on
   they keep valid by construction despite the bump; those entries are
   re-stamped instead of dropped.  Everything else stale is evicted
   eagerly so the cache never grows unbounded across a pipeline run.
-* Hit/miss/invalidation totals are exported via :meth:`stats` /
-  :meth:`stats_since`, the ``env.analysis_cache`` block of a
-  ``repro.stats`` document.
+* Hit/miss/invalidation totals are exported via :meth:`stats`, the
+  ``env.analysis_cache`` block of a ``repro.stats`` document.
 
 The manager hands every consumer the *same* object, which is what makes
 the shared :class:`~repro.analysis.bitset.VarIndex` numbering pay off:
@@ -121,21 +120,6 @@ class AnalysisManager:
                 "preserved": self.preserved,
                 "oracle_hits": self.oracle_stats.hits,
                 "oracle_misses": self.oracle_stats.misses}
-
-    def stats_since(self, mark: dict[str, int]) -> dict[str, int]:
-        """The counter deltas since a :meth:`stats` snapshot -- what one
-        pipeline run contributes when a process-lifetime manager (the
-        ``repro serve`` serial path's) serves many runs."""
-        return {name: value - mark.get(name, 0)
-                for name, value in self.stats().items()}
-
-    def flush(self) -> None:
-        """Drop every per-function cache entry, keeping the lifetime
-        counters.  Long-lived managers (pool workers) call this between
-        tasks: pipeline runs mutate fresh module *copies*, so entries
-        for a finished run's functions can never hit again and would
-        only pin dead IR in memory."""
-        self._cache.clear()
 
     # ------------------------------------------------------------------
     # Analysis getters

@@ -215,28 +215,15 @@ def cmd_tables(args) -> int:
 def cmd_serve(args) -> int:
     """Run the warm compile service until SIGTERM/SIGINT (graceful
     drain) or a client ``shutdown`` op."""
-    from .serve.server import CompileServer
-
-    if args.socket is None and args.http_port is None:
-        raise SystemExit("error: serve needs --socket PATH and/or "
-                         "--http PORT")
-    server = CompileServer(socket_path=args.socket,
-                           http_port=args.http_port,
-                           jobs=args.jobs, cache=args.cache_dir,
-                           batch_window=args.batch_window)
-    def banner() -> None:
-        # Runs after start(): an ``--http 0`` port is resolved by now.
-        endpoints = [e for e in (
-            args.socket and f"unix:{args.socket}",
-            server.http_port is not None
-            and f"http://{server.http_host}:{server.http_port}") if e]
-        print(f"repro serve: jobs={server.jobs} "
-              f"cache={server.cache.path} on {', '.join(endpoints)}",
-              file=sys.stderr)
-
     import asyncio
 
-    asyncio.run(server.run(ready=banner))
+    from .serve.server import CompileServer
+
+    server = CompileServer(args.socket, jobs=args.jobs,
+                           cache=args.cache_dir)
+    print(f"repro serve: jobs={server.jobs} cache={server.cache.path} "
+          f"on unix:{args.socket}", file=sys.stderr)
+    asyncio.run(server.run())
     return 0
 
 
@@ -409,7 +396,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
                              "unset = no caching; output is identical "
                              "cache-hot and cache-cold; "
                              "$REPRO_CACHE_LIMIT caps the size in bytes)")
-    _add_interp(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(span duration minus nested spans, "
                                 "aggregated by pass name) to stderr")
     _add_jobs(compile_p)
+    _add_interp(compile_p)
     compile_p.set_defaults(fn=cmd_compile)
 
     run_p = sub.add_parser("run", help="interpret a function")
@@ -470,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--stats-json", metavar="FILE",
                        help="also write the stats collection here")
     _add_jobs(exp_p)
+    _add_interp(exp_p)
     exp_p.set_defaults(fn=cmd_experiments)
 
     tables_p = sub.add_parser(
@@ -480,26 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write every run's stats as a "
                                "repro.stats-collection/v1 JSON document")
     _add_jobs(tables_p)
+    _add_interp(tables_p)
     tables_p.set_defaults(fn=cmd_tables)
 
     serve_p = sub.add_parser(
         "serve", help="warm compile service: persistent worker pool, "
-                      "request batching, live metrics "
+                      "request batching, response memo "
                       "(see docs/serving.md)")
-    serve_p.add_argument("--socket", default=None, metavar="PATH",
+    serve_p.add_argument("--socket", required=True, metavar="PATH",
                          help="unix socket to listen on (NDJSON "
                               "protocol)")
-    serve_p.add_argument("--http", dest="http_port", type=int,
-                         default=None, metavar="PORT",
-                         help="also serve HTTP on 127.0.0.1:PORT "
-                              "(POST /compile, GET /stats /metrics "
-                              "/healthz); 0 picks a free port")
-    serve_p.add_argument("--batch-window", type=float, default=0.0,
-                         metavar="SECONDS",
-                         help="wait this long after the first queued "
-                              "request to coalesce more into the batch "
-                              "(default 0: batch whatever is already "
-                              "queued)")
     _add_jobs(serve_p)
     serve_p.set_defaults(fn=cmd_serve)
 
@@ -587,8 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "interp", None):
         # Through the environment rather than a threaded parameter so
-        # forked pool workers and the serve worker pool inherit the
-        # tier unchanged.
+        # forked pool workers inherit the tier unchanged.
         from .interp import INTERP_ENV
 
         os.environ[INTERP_ENV] = args.interp

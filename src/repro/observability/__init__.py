@@ -12,21 +12,19 @@ Public surface:
 * schema -- :func:`validate_stats` and the ``repro.stats/v2`` document
   contract, ``{schema, experiment, result, env}`` (see :mod:`.schema`
   and ``docs/observability.md``);
-* metrics -- :class:`MetricsRegistry`, the counter/gauge/
-  latency-histogram registry behind ``repro serve``'s live metrics
-  endpoint, with Prometheus text exposition (see :mod:`.metrics`);
 * statdiff -- :func:`stats_digest` / :func:`result_blocks`, which
   compare runs by their ``result`` blocks (see :mod:`.statdiff`).
 
 Every instrumented entry point (``run_phases``, ``coalesce_phis``,
 ``sreedhar_to_cssa``, ``aggressive_coalesce``, the interpreter) takes an
 optional ``tracer`` keyword defaulting to ``None`` == :data:`NULL_TRACER`.
+``repro serve`` keeps its lifetime totals itself
+(:attr:`repro.serve.server.CompileServer.totals`).
 """
 
 from .exporters import (chrome_trace_events, chrome_trace_json, jsonable,
                         pass_profile, pass_self_times, phase_table,
                         summary, write_chrome_trace)
-from .metrics import BUCKET_BOUNDS, MetricsRegistry, prometheus_text
 from .schema import (COLLECTION_SCHEMA, DELTA_KEYS, SNAPSHOT_KEYS,
                      STATS_SCHEMA, SchemaError, validate_stats,
                      validate_stats_file)
@@ -37,7 +35,6 @@ from .tracer import (NULL_TRACER, EventRecord, NullTracer, SpanRecord,
 __all__ = [
     "NULL_TRACER", "NullTracer", "Tracer", "SpanRecord", "EventRecord",
     "resolve",
-    "MetricsRegistry", "BUCKET_BOUNDS", "prometheus_text",
     "result_blocks", "first_difference", "stats_digest",
     "chrome_trace_events", "chrome_trace_json", "write_chrome_trace",
     "summary", "phase_table", "pass_profile", "pass_self_times",

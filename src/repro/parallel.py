@@ -61,11 +61,6 @@ from .metrics import count_instructions
 from .observability import NULL_TRACER, Tracer
 from .observability import resolve as resolve_tracer
 
-#: The integer keys of the ``analysis_cache`` block, in the canonical
-#: order :meth:`AnalysisManager.stats` emits them.
-_CACHE_KEYS = ("hits", "misses", "invalidations", "preserved",
-               "oracle_hits", "oracle_misses")
-
 
 # ----------------------------------------------------------------------
 # Job resolution and platform capability
@@ -424,8 +419,12 @@ def _graft_tracer(parent: Tracer, payload: Optional[dict],
 
 
 def _merge_cache_stats(payloads: Sequence[dict]) -> dict:
-    return {key: sum(p["analysis_cache"].get(key, 0) for p in payloads)
-            for key in _CACHE_KEYS}
+    """The workers' ``analysis_cache`` blocks summed key by key."""
+    totals: dict[str, int] = {}
+    for payload in payloads:
+        for key, value in payload["analysis_cache"].items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
 
 
 def _merge_store_stats(payloads: Sequence[dict]) -> dict:

@@ -600,7 +600,6 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                validate: bool = True,
                tracer=None,
                cache=None,
-               analyses: Optional[AnalysisManager] = None,
                prefix: Optional["PrefixPlan"] = None) \
         -> ExperimentResult:
     """Run *phases* on a copy of *module* inside the
@@ -617,11 +616,7 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                              "already skips every phase")
         prefix.begin(module, phases, options, verify, target, validate,
                      tracer)
-    # ``analyses`` lets a long-lived caller (the serve serial path) keep
-    # one process-lifetime manager across runs; its ``analysis_cache``
-    # block then reports this run's deltas, not lifetime totals.
-    manager = analyses if analyses is not None else AnalysisManager()
-    analysis_mark = manager.stats()
+    manager = AnalysisManager()
     cache_mark = cache.stats() if cache is not None else None
     with verified_run(module, name, verify, tracer, manager, prefix) \
             as (result, _):
@@ -629,7 +624,7 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                               tracer, manager, cache, prefix)
         result.module, result.phase_stats, result.phase_breakdown = \
             fold(module, parts, tracer)
-        result.analysis_cache = manager.stats_since(analysis_mark)
+        result.analysis_cache = manager.stats()
     if cache is not None:
         result.cache = cache.stats_since(cache_mark)
     return result

@@ -5,21 +5,21 @@ construction and cold analysis caches on every request.  This package
 keeps all of that hot in a long-running process:
 
 * :mod:`.protocol` -- the newline-delimited-JSON request/response
-  contract shared by the unix-socket and HTTP transports, plus the
-  request fingerprint (built from the :mod:`repro.cache.key`
-  fingerprints) behind identical-request dedup;
-* :mod:`.batcher` -- coalesces concurrent in-flight requests into one
-  call of the parallel engine on the persistent
+  contract of the unix socket, plus the request fingerprint (built
+  from the :mod:`repro.cache.key` fingerprints) behind
+  identical-request dedup and the response memo;
+* :mod:`.batcher` -- coalesces queued requests into one call of the
+  parallel engine on the persistent
   :class:`repro.parallel.WorkerPool` (deterministic LPT over every
   request's functions) and merges the results back per request,
   byte-identical to the serial CLI path;
-* :mod:`.server` -- the asyncio server (unix socket, optional
-  localhost HTTP) with live ``stats``/``metrics`` endpoints and
-  graceful drain on SIGTERM/SIGINT;
+* :mod:`.server` -- the asyncio unix-socket server, with lifetime
+  totals behind its ``stats``/``metrics`` ops and a graceful drain on
+  SIGTERM/SIGINT;
 * :mod:`.client` -- a small blocking client for tests, benchmarks and
   scripting.
 
-See ``docs/serving.md`` for the protocol and deployment knobs.
+See ``docs/serving.md`` for the protocol.
 """
 
 from .client import ServeClient, wait_for_server

@@ -19,7 +19,9 @@ are unaffected.
 
 The serial path (no pool, pool broke, or a batch of one single-function
 request) runs in the server process against the same cache directory,
-so cache heat is identical either way.
+so cache heat is identical either way.  Every request compiles untraced
+for the ST120 target with IR validation on, as the one-shot
+``repro compile`` the responses are byte-identical to does.
 """
 
 from __future__ import annotations
@@ -29,14 +31,9 @@ from typing import Optional, Sequence
 
 from ..ir.printer import format_module
 from ..machine.st120 import ST120
-from ..machine.target import Target
 from ..observability.statdiff import stats_digest
 from ..parallel import Job, merge_job, run_units
 from .protocol import ProtocolError
-
-#: Workers run untraced: server-side latency metrics are recorded by
-#: the server's own registry, and the byte-identity contract is against
-#: the *untraced* serial CLI run.
 
 
 @dataclass
@@ -75,11 +72,9 @@ def _respond(result, batch: dict) -> dict:
     }
 
 
-def _run_serial(jobs: Sequence[ServeJob], cache, target: Target,
-                validate: bool, analyses=None) -> None:
+def _run_serial(jobs: Sequence[ServeJob], cache) -> None:
     """In-process fallback: each request through ``run_phases`` against
-    the server's own cache handle and (optional) lifetime analysis
-    manager."""
+    the server's own cache handle."""
     from .. import pipeline as _pipeline
 
     for job in jobs:
@@ -87,21 +82,15 @@ def _run_serial(jobs: Sequence[ServeJob], cache, target: Target,
         try:
             result = _pipeline.run_phases(
                 request.module, request.experiment, request.phases,
-                request.options, target, None, validate, None,
-                cache=cache, analyses=analyses)
+                request.options, ST120, cache=cache)
         except Exception as error:  # noqa: BLE001 -- per-request isolation
             job.response = _error(error)
         else:
             job.response = _respond(
                 result, {"size": len(jobs), "mode": "serial", "shards": 1})
-        finally:
-            if analyses is not None:
-                analyses.flush()
 
 
-def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None,
-              target: Target = ST120, validate: bool = True,
-              analyses=None) -> None:
+def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None) -> None:
     """Compile every job of the batch, filling ``job.response``.
 
     With a :class:`~repro.parallel.WorkerPool`, the whole batch is one
@@ -131,9 +120,9 @@ def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None,
         sharded = run_units(
             [Job(job.request.module, job.request.experiment,
                  job.request.phases, job.request.options) for job in jobs],
-            pool=pool, target=target, validate=validate, cache=cache)
+            pool=pool, cache=cache)
     if sharded is None:
-        _run_serial(jobs, cache, target, validate, analyses=analyses)
+        _run_serial(jobs, cache)
         return
 
     workers, pool_ns, outcomes = sharded

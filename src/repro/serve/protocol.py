@@ -1,14 +1,9 @@
 """The ``repro serve`` wire contract.
 
-Both transports speak the same JSON documents:
-
-* **Unix socket** -- newline-delimited JSON (NDJSON): one request
-  object per line in, one response object per line out, processed in
-  order per connection.  Concurrency comes from concurrent
-  connections, which is exactly what lets the server batch.
-* **HTTP** (optional, localhost) -- ``POST /compile`` with the same
-  request object as the body, ``GET /stats`` / ``GET /metrics`` /
-  ``GET /healthz`` for the read-only endpoints.
+The server speaks newline-delimited JSON (NDJSON) over a unix socket:
+one request object per line in, one response object per line out,
+processed in order per connection.  Concurrency comes from concurrent
+connections, which is exactly what lets the server batch.
 
 Requests are ``{"op": ..., ...}``:
 
@@ -50,13 +45,12 @@ from ..cache.key import (code_version, options_fingerprint,
 from ..ir.function import Module
 from ..lai import LaiSyntaxError, parse_module
 from ..machine.st120 import ST120
-from ..machine.target import Target
 from ..pipeline import EXPERIMENTS, PhaseOptions, table5_variants
 
 #: Version tag carried by ``stats`` and ``ping`` responses.
-SERVE_SCHEMA = "repro.serve/v1"
+SERVE_SCHEMA = "repro.serve/v2"
 
-#: Maximum request line (bytes) either transport accepts -- generous
+#: Maximum request line (bytes) the server accepts -- generous
 #: headroom over the largest generated suite (~100 KiB of LAI text).
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
@@ -131,7 +125,7 @@ class CompileRequest:
         return self.module
 
 
-def parse_compile(obj: dict, target: Target = ST120) -> CompileRequest:
+def parse_compile(obj: dict) -> CompileRequest:
     """Validate a decoded ``compile`` request object and compute its
     fingerprint (no parsing yet -- see :class:`CompileRequest`).
 
@@ -162,24 +156,24 @@ def parse_compile(obj: dict, target: Target = ST120) -> CompileRequest:
                 f"of {', '.join(sorted(variants))})")
         options = variants[variant]
     fingerprint = request_fingerprint(source, EXPERIMENTS[experiment],
-                                      options, target, name=name)
+                                      options, name=name)
     return CompileRequest(source=source, name=name,
                           experiment=experiment, variant=variant,
                           options=options, fingerprint=fingerprint)
 
 
 def request_fingerprint(source: str, phases, options,
-                        target: Target = ST120, name: str = "request",
-                        salt: str = "") -> str:
+                        name: str = "request") -> str:
     """Identity of one compile request: the pipeline fingerprints of
-    :func:`repro.cache.key.cache_key` (so dedup and the compilation
-    cache agree on what "the same pipeline" means) over the raw source
-    bytes.  Byte-identical text through an identical pipeline is
-    guaranteed an identical response -- the invariant the server's
-    in-flight dedup and response memo rely on."""
+    :func:`repro.cache.key.cache_key` for the ST120 target (so dedup
+    and the compilation cache agree on what "the same pipeline" means)
+    over the raw source bytes.  Byte-identical text through an
+    identical pipeline is guaranteed an identical response -- the
+    invariant the server's in-flight dedup and response memo rely
+    on."""
     digest = hashlib.sha256()
-    for part in (code_version(), salt, "|".join(phases),
-                 options_fingerprint(options), target_fingerprint(target),
+    for part in (code_version(), "|".join(phases),
+                 options_fingerprint(options), target_fingerprint(ST120),
                  name, source):
         digest.update(part.encode())
         digest.update(b"\x00")

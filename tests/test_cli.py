@@ -277,9 +277,15 @@ class TestRejectedOptions:
         return {option for action in subparsers.choices[command]._actions
                 for option in action.option_strings}
 
+    def test_serve_takes_only_socket_jobs_and_cache_dir(self):
+        # One transport and one configuration: no HTTP listener, batch
+        # window or interpreter tier (serve requests never replay).
+        assert self._options("serve") == {
+            "-h", "--help", "--socket", "--jobs", "--cache-dir"}
+
     def test_serve_rejects_metrics(self):
-        # The server always meters; its registry is read live through
-        # the ``metrics`` op, never switched on by a flag.
+        # The server always counts; its totals are read live through
+        # the ``stats`` and ``metrics`` ops, never switched on by a flag.
         assert not any("metrics" in option
                        for option in self._options("serve"))
 

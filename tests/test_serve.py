@@ -18,12 +18,12 @@ Contracts under test:
 """
 
 import concurrent.futures
-import http.client
-import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -34,6 +34,7 @@ from repro.parallel import fork_available
 from repro.pipeline import run_experiment, table5_variants
 from repro.serve import (CompileServer, ServeClient, ThreadedServer,
                          wait_for_server)
+from repro.serve import server as server_module
 from repro.serve.protocol import (ProtocolError, decode_request,
                                   parse_compile, request_fingerprint)
 
@@ -50,8 +51,53 @@ def sock_dir():
 
 def start_server(sock_dir, **kwargs):
     socket_path = os.path.join(sock_dir, "s.sock")
-    server = CompileServer(socket_path=socket_path, **kwargs)
+    server = CompileServer(socket_path, **kwargs)
     return socket_path, server
+
+
+def wait_until(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            raise TimeoutError("condition never held")
+        time.sleep(0.005)
+
+
+def compile_in_two_batches(server, socket_path, requests, monkeypatch):
+    """Answer *requests* (``(source, compile kwargs)`` pairs) in two
+    batches: the first request alone, then all the others together.
+
+    A gate holds the server's single batch executor inside the first
+    batch; the other requests are sent only once that batch has
+    started and the gate opens only once all of them are queued, so
+    the next batch takes every one.  Returns the responses in request
+    order and the size of each batch."""
+    gate, started, sizes = threading.Event(), threading.Event(), []
+    run_batch = server_module.run_batch
+
+    def gated_run_batch(batch, **kwargs):
+        sizes.append(len(batch))
+        started.set()
+        gate.wait(timeout=60)
+        return run_batch(batch, **kwargs)
+
+    monkeypatch.setattr(server_module, "run_batch", gated_run_batch)
+
+    def one_request(request):
+        source, kwargs = request
+        with ServeClient(socket_path) as client:
+            return client.compile(source, **kwargs)
+
+    with concurrent.futures.ThreadPoolExecutor(len(requests)) as pool:
+        try:
+            futures = [pool.submit(one_request, requests[0])]
+            wait_until(started.is_set)
+            futures += [pool.submit(one_request, request)
+                        for request in requests[1:]]
+            wait_until(lambda: server._queue.qsize() == len(requests) - 1)
+        finally:
+            gate.set()
+        return [future.result() for future in futures], sizes
 
 
 def serial_reference(suite_name, experiment="Lphi,ABI+C", options=None):
@@ -156,69 +202,83 @@ def test_memo_and_dedup_serve_identical_bytes(sock_dir):
     assert {r["stats_digest"] for r in responses} == {digest}
     # 16 identical requests cannot have compiled 16 times: the
     # in-flight dedup and the response memo absorb the repeats.
-    stats = server._lifetime_stats()
+    stats = server.totals
     assert stats["requests"] == 16
     assert stats["dedup_hits"] + stats["memo_hits"] >= 1
     assert stats["errors"] == 0
 
 
-def test_memo_disabled_and_bounded(sock_dir):
-    socket_path, server = start_server(sock_dir, jobs=1, memo_size=0)
-    with ThreadedServer(server):
-        with ServeClient(socket_path) as client:
-            source = suite_source("example1-8")
-            first = client.compile(source, name="examples")
-            second = client.compile(source, name="examples")
-    assert first["ok"] and second["ok"]
-    assert "memo" not in second
-    assert server._lifetime_stats()["memo_hits"] == 0
-    assert len(server._memo) == 0
+def test_memo_disabled_and_bounded(sock_dir, monkeypatch):
+    a = (suite_source("example1-8"), "examples")
+    b = (suite_source("VALcc1"), "VALcc1")
+
+    def memo_flags(memo_size, sources):
+        monkeypatch.setattr(server_module, "MEMO_SIZE", memo_size)
+        socket_path, server = start_server(sock_dir, jobs=1)
+        with ThreadedServer(server):
+            with ServeClient(socket_path) as client:
+                responses = [client.compile(source, name=name)
+                             for source, name in sources]
+        assert all(r["ok"] for r in responses)
+        texts = {}
+        for (_, name), response in zip(sources, responses):
+            assert texts.setdefault(name, response["module"]) == \
+                response["module"]
+        assert len(server._memo) == min(memo_size, len(set(sources)))
+        return [bool(r.get("memo")) for r in responses], server
+
+    flags, server = memo_flags(0, (a, a))
+    assert flags == [False, False]
+    assert server.totals["memo_hits"] == 0
+    # An LRU of one: B evicts A, so the last A compiles again.
+    flags, server = memo_flags(1, (a, a, b, a))
+    assert flags == [False, True, False, False]
+    assert server.totals["memo_hits"] == 1
 
 
 # ----------------------------------------------------------------------
 # Batching
 # ----------------------------------------------------------------------
-def test_concurrent_mixed_requests_batch_and_stay_correct(sock_dir):
+def test_concurrent_mixed_requests_batch_and_stay_correct(sock_dir,
+                                                          monkeypatch):
     jobs = 2 if fork_available() else 1
-    socket_path, server = start_server(sock_dir, jobs=jobs,
-                                       batch_window=0.05)
-    references = {name: serial_reference(name) for name in SUITES}
+    socket_path, server = start_server(sock_dir, jobs=jobs)
+    work = [(suite_name, experiment) for suite_name in SUITES
+            for experiment in ("Lphi,ABI+C", "C", "LABI")]
     with ThreadedServer(server):
-        def one_request(suite_name):
-            with ServeClient(socket_path) as client:
-                return suite_name, client.compile(
-                    suite_source(suite_name), name=suite_name)
-
-        work = [name for name in SUITES for _ in range(4)]
-        with concurrent.futures.ThreadPoolExecutor(len(work)) as pool:
-            responses = list(pool.map(one_request, work))
-    for suite_name, response in responses:
+        responses, sizes = compile_in_two_batches(
+            server, socket_path,
+            [(suite_source(suite_name),
+              {"name": suite_name, "experiment": experiment})
+             for suite_name, experiment in work], monkeypatch)
+    for (suite_name, experiment), response in zip(work, responses):
         assert response["ok"], response
-        text, digest = references[suite_name]
-        assert response["module"] == text
-        assert response["stats_digest"] == digest
-    stats = server._lifetime_stats()
-    # Coalescing happened: fewer batches than batched requests.
-    assert stats["batches"] < stats["batched_requests"]
+        assert (response["module"], response["stats_digest"]) == \
+            serial_reference(suite_name, experiment)
+    # Everything queued behind the first batch coalesced into one.
+    assert sizes == [1, len(work) - 1]
+    assert (server.totals["batches"], server.totals["batched_requests"]) \
+        == (2, len(work))
 
 
-def test_per_request_errors_do_not_poison_the_batch(sock_dir):
+def test_per_request_errors_do_not_poison_the_batch(sock_dir, monkeypatch):
     socket_path, server = start_server(
-        sock_dir, jobs=2 if fork_available() else 1, batch_window=0.05)
+        sock_dir, jobs=2 if fork_available() else 1)
     good_source = suite_source("example1-8")
-    text, digest = serial_reference("example1-8")
+    reference = serial_reference("example1-8")
+    sources = [good_source, "definitely not lai"] * 3
     with ThreadedServer(server):
-        def one_request(source):
-            with ServeClient(socket_path) as client:
-                return client.compile(source, name="mixed")
-
-        sources = [good_source, "definitely not lai"] * 3
-        with concurrent.futures.ThreadPoolExecutor(6) as pool:
-            responses = list(pool.map(one_request, sources))
+        # Distinct names: no request rides another's in-flight future.
+        responses, sizes = compile_in_two_batches(
+            server, socket_path,
+            [(source, {"name": f"mixed{i}"})
+             for i, source in enumerate(sources)], monkeypatch)
+    assert sizes == [1, len(sources) - 1]
     for source, response in zip(sources, responses):
         if source is good_source:
             assert response["ok"]
-            assert response["module"] == text
+            assert (response["module"], response["stats_digest"]) == \
+                reference
         else:
             assert not response["ok"]
             assert "parse error" in response["error"]
@@ -239,11 +299,13 @@ def test_connection_survives_bad_requests(sock_dir):
 # ----------------------------------------------------------------------
 # Concurrent cache sharing (satellite: one --cache-dir, many clients)
 # ----------------------------------------------------------------------
-def test_concurrent_cache_sharing_exact_accounting(sock_dir, tmp_path):
+def test_concurrent_cache_sharing_exact_accounting(sock_dir, tmp_path,
+                                                   monkeypatch):
     cache_dir = tmp_path / "cache"
     # memo off so every request exercises the store; jobs=1 keeps the
     # accounting on the server's own cache handle.
-    socket_path, server = start_server(sock_dir, jobs=1, memo_size=0,
+    monkeypatch.setattr(server_module, "MEMO_SIZE", 0)
+    socket_path, server = start_server(sock_dir, jobs=1,
                                        cache=str(cache_dir))
     functions = len(load_suite("VALcc1").module.functions)
     source = suite_source("VALcc1")
@@ -263,16 +325,17 @@ def test_concurrent_cache_sharing_exact_accounting(sock_dir, tmp_path):
             assert block["hits"] + block["misses"] == functions
         totals = server.cache.stats()
         assert totals["hits"] + totals["misses"] == \
-            functions * (len(responses) - server._lifetime_stats()[
-                "dedup_hits"])
+            functions * (len(responses) - server.totals["dedup_hits"])
         # Only the cold runs stored; nothing was ever stored twice.
         assert totals["stores"] == functions
         assert totals["corrupt"] == 0
 
 
-def test_cache_corruption_recovers_under_contention(sock_dir, tmp_path):
+def test_cache_corruption_recovers_under_contention(sock_dir, tmp_path,
+                                                   monkeypatch):
     cache_dir = tmp_path / "cache"
-    socket_path, server = start_server(sock_dir, jobs=1, memo_size=0,
+    monkeypatch.setattr(server_module, "MEMO_SIZE", 0)
+    socket_path, server = start_server(sock_dir, jobs=1,
                                        cache=str(cache_dir))
     source = suite_source("VALcc1")
     text, digest = serial_reference("VALcc1")
@@ -311,7 +374,7 @@ def test_stats_and_metrics_endpoints(sock_dir):
         with ServeClient(socket_path) as client:
             client.compile(suite_source("example1-8"), name="examples")
             stats = client.stats()
-            assert stats["ok"] and stats["schema"] == "repro.serve/v1"
+            assert stats["ok"] and stats["schema"] == "repro.serve/v2"
             assert stats["serve"]["requests"] == 1
             assert stats["jobs"] == 1 and stats["pool"] is None
             exposition = client.metrics_text()
@@ -328,9 +391,10 @@ def sample_value(exposition, sample):
     return values[0]
 
 
-def test_metrics_exposition_carries_serve_mix_samples(sock_dir):
+def test_metrics_exposition_carries_serve_mix_samples(sock_dir, monkeypatch):
     # memo off: the repeat is a cache hit, not a response-memo hit.
-    socket_path, server = start_server(sock_dir, jobs=1, memo_size=0)
+    monkeypatch.setattr(server_module, "MEMO_SIZE", 0)
+    socket_path, server = start_server(sock_dir, jobs=1)
     functions = len(load_suite("example1-8").module.functions)
     with ThreadedServer(server):
         with ServeClient(socket_path) as client:
@@ -361,44 +425,6 @@ def test_stats_reports_pool_health(sock_dir):
     assert pool["respawns"] == 0 and len(pool["pids"]) == 2
 
 
-def test_http_transport(sock_dir):
-    socket_path, server = start_server(sock_dir, jobs=1, http_port=0)
-    with ThreadedServer(server):
-        port = server.http_port
-        assert port  # OS-assigned and published
-
-        def fetch(method, path, body=None):
-            conn = http.client.HTTPConnection("127.0.0.1", port,
-                                              timeout=30)
-            try:
-                conn.request(method, path, body=body)
-                response = conn.getresponse()
-                return response.status, response.read()
-            finally:
-                conn.close()
-
-        status, body = fetch("GET", "/healthz")
-        assert (status, body) == (200, b"ok\n")
-        status, body = fetch("GET", "/stats")
-        assert status == 200
-        assert json.loads(body)["schema"] == "repro.serve/v1"
-        request = json.dumps({"source": suite_source("example1-8"),
-                              "name": "examples"})
-        status, body = fetch("POST", "/compile", body=request)
-        assert status == 200
-        text, digest = serial_reference("example1-8")
-        payload = json.loads(body)
-        assert payload["module"] == text
-        assert payload["stats_digest"] == digest
-        status, body = fetch("POST", "/compile",
-                             body='{"source": "bad lai"}')
-        assert status == 422 and not json.loads(body)["ok"]
-        status, _ = fetch("GET", "/nope")
-        assert status == 404
-        status, body = fetch("GET", "/metrics")
-        assert status == 200 and b"repro_serve_requests" in body
-
-
 # ----------------------------------------------------------------------
 # Graceful shutdown
 # ----------------------------------------------------------------------
@@ -412,9 +438,9 @@ def test_graceful_drain_finishes_inflight_and_cleans_up(sock_dir):
     finally:
         handle.stop()
     assert not os.path.exists(socket_path)  # socket cleaned up
-    stats = server._lifetime_stats()
+    stats = server.totals
     assert (stats["requests"], stats["errors"]) == (1, 0)
-    exposition = server.metrics.to_prometheus()
+    exposition = server.metrics_text()
     assert "repro_serve_requests_total 1\n" in exposition
     assert "repro_serve_batched_requests_total 1\n" in exposition
 
