@@ -25,13 +25,12 @@ semantics.
 
 from .key import (cache_key, code_version, function_fingerprint,
                   options_fingerprint, target_fingerprint)
-from .store import (CACHE_DIR_ENV, CACHE_LIMIT_ENV, CACHE_SALT_ENV,
-                    CACHE_STATS_KEYS, CompilationCache, resolve_cache)
+from .store import (CACHE_DIR_ENV, CACHE_LIMIT_ENV, CACHE_STATS_KEYS,
+                    CompilationCache, resolve_cache)
 
 __all__ = [
     "CompilationCache", "resolve_cache",
     "cache_key", "code_version", "function_fingerprint",
     "options_fingerprint", "target_fingerprint",
-    "CACHE_DIR_ENV", "CACHE_LIMIT_ENV", "CACHE_SALT_ENV",
-    "CACHE_STATS_KEYS",
+    "CACHE_DIR_ENV", "CACHE_LIMIT_ENV", "CACHE_STATS_KEYS",
 ]

@@ -18,10 +18,7 @@ pipeline looked at is unchanged.  Four inputs determine the output of
 3. **The target** (name, register file, tied-operand table is code).
 4. **The code version salt** (:func:`code_version`): a digest over the
    ``repro`` package's own source files, so editing any pass invalidates
-   the whole store without anyone remembering to bump a constant.  An
-   extra user salt (``REPRO_CACHE_SALT`` or ``salt=``) layers on top,
-   which is how the tests force misses and how experiments can keep
-   several populations in one directory.
+   the whole store without anyone remembering to bump a constant.
 
 Keys are hex SHA-256 digests; the store fans them out as
 ``objects/<first two hex chars>/<rest>`` (see :mod:`.store`).
@@ -121,10 +118,10 @@ def target_fingerprint(target) -> str:
 
 
 def cache_key(function: Function, phases: Iterable[str], options,
-              target, salt: str = "") -> str:
+              target) -> str:
     """The content-addressed key for one ``(function, pipeline)`` pair."""
     digest = hashlib.sha256()
-    for part in (code_version(), salt, "|".join(phases),
+    for part in (code_version(), "|".join(phases),
                  options_fingerprint(options), target_fingerprint(target),
                  function_fingerprint(function)):
         digest.update(part.encode())

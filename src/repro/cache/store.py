@@ -54,7 +54,6 @@ _DIGEST_SIZE = hashlib.sha256().digest_size
 #: :class:`CompilationCache` defaults.
 CACHE_DIR_ENV = "REPRO_CACHE"
 CACHE_LIMIT_ENV = "REPRO_CACHE_LIMIT"
-CACHE_SALT_ENV = "REPRO_CACHE_SALT"
 
 #: The counter names of the stats ``cache`` block, in emission order.
 CACHE_STATS_KEYS = ("hits", "misses", "stores", "evictions", "bytes",
@@ -69,8 +68,7 @@ class CompilationCache:
     """Content-addressed cache of per-function out-of-SSA results."""
 
     def __init__(self, path: os.PathLike | str,
-                 max_bytes: Optional[int] = None,
-                 salt: Optional[str] = None) -> None:
+                 max_bytes: Optional[int] = None) -> None:
         self.path = os.fspath(path)
         self.objects = os.path.join(self.path, "objects")
         if max_bytes is None:
@@ -79,8 +77,6 @@ class CompilationCache:
             except ValueError:
                 max_bytes = None
         self.max_bytes = max_bytes
-        self.salt = salt if salt is not None \
-            else os.environ.get(CACHE_SALT_ENV, "")
         os.makedirs(self.objects, exist_ok=True)
         self.hits = 0
         self.misses = 0
@@ -94,10 +90,9 @@ class CompilationCache:
     # ------------------------------------------------------------------
     def key(self, function: Function, phases: Iterable[str], options,
             target) -> str:
-        """The content-addressed key of ``(function, pipeline)`` under
-        this cache's salt (see :mod:`repro.cache.key`)."""
-        return cache_key(function, tuple(phases), options, target,
-                         salt=self.salt)
+        """The content-addressed key of ``(function, pipeline)`` (see
+        :mod:`repro.cache.key`)."""
+        return cache_key(function, tuple(phases), options, target)
 
     def _entry_path(self, key: str) -> str:
         return os.path.join(self.objects, key[:2], key[2:] + ".bin")

@@ -85,20 +85,12 @@ def cmd_compile(args) -> int:
         name, *call_args = args.verify
         verify = [(name, [int(a, 0) for a in call_args])]
     if args.show_ssa:
-        from .machine.constraints import pinning_abi, pinning_sp
-        from .outofssa import coalesce_phis
-        from .pipeline import ensure_ssa
-        from .ssa import optimize_ssa
+        from .pipeline import run_phases
 
-        shown = module.copy()
-        for function in shown.iter_functions():
-            ensure_ssa(function)
-            optimize_ssa(function)
-            pinning_sp(function)
-            if "pinningABI" in EXPERIMENTS[args.experiment]:
-                pinning_abi(function)
-            if "pinningPhi" in EXPERIMENTS[args.experiment]:
-                coalesce_phis(function)
+        phases = EXPERIMENTS[args.experiment]
+        shown = run_phases(module, args.experiment,
+                           phases[:phases.index("out-of-pinned-ssa")],
+                           _options(args)).module
         print("; ---- pinned SSA ----", file=sys.stderr)
         print(format_module(shown), file=sys.stderr)
 
@@ -244,30 +236,6 @@ def cmd_fuzz(args) -> int:
                        load_regression, minimize, run_fuzz,
                        write_regression)
 
-    if args.fuzz_command == "corpus":
-        from .fuzz import build_corpus, load_corpus
-
-        manifest = build_corpus(args.out, args.programs,
-                                n_functions=args.functions,
-                                profile=args.profile, seed0=args.seed0)
-        print(f"wrote {len(manifest['programs'])} programs "
-              f"({manifest['functions']} functions, profile "
-              f"{args.profile!r}) to {args.out}")
-        if args.replay:
-            bad = 0
-            for name, source, verify in load_corpus(args.out):
-                result = check_module(
-                    source, verify,
-                    checks=("roundtrip", "compositions"),
-                    experiments=["Lphi,ABI+C"], jobs=1)
-                for divergence in result.divergences:
-                    bad += 1
-                    print(f"{name}: {divergence.describe()}",
-                          file=sys.stderr)
-            print(f"replay: {bad} divergences")
-            return 1 if bad else 0
-        return 0
-
     if args.fuzz_command == "minimize":
         regression = load_regression(args.file)
         if not regression.verify:
@@ -385,17 +353,25 @@ def _add_interp(parser: argparse.ArgumentParser) -> None:
                              "lockstep and fails on any divergence)")
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
+_CACHE_HELP = ("persistent content-addressed compilation cache directory "
+               "(default $REPRO_CACHE, unset = no caching; output is "
+               "identical cache-hot and cache-cold; $REPRO_CACHE_LIMIT "
+               "caps the size in bytes)")
+#: ``repro serve`` never runs uncached (see docs/serving.md).
+_SERVE_CACHE_HELP = ("persistent content-addressed compilation cache "
+                     "directory (default $REPRO_CACHE, unset = a private "
+                     "temporary store removed at shutdown; "
+                     "$REPRO_CACHE_LIMIT caps the size in bytes)")
+
+
+def _add_jobs(parser: argparse.ArgumentParser,
+              cache_help: str = _CACHE_HELP) -> None:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for parallel compilation "
                              "(0 = all cores; default $REPRO_JOBS or 1; "
                              "output is identical at any job count)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent content-addressed compilation "
-                             "cache directory (default $REPRO_CACHE, "
-                             "unset = no caching; output is identical "
-                             "cache-hot and cache-cold; "
-                             "$REPRO_CACHE_LIMIT caps the size in bytes)")
+                        help=cache_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--socket", required=True, metavar="PATH",
                          help="unix socket to listen on (NDJSON "
                               "protocol)")
-    _add_jobs(serve_p)
+    _add_jobs(serve_p, cache_help=_SERVE_CACHE_HELP)
     serve_p.set_defaults(fn=cmd_serve)
 
     fuzz_p = sub.add_parser(
@@ -541,23 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default 600)")
     fuzz_min_p.set_defaults(fn=cmd_fuzz)
 
-    fuzz_corpus_p = fuzz_sub.add_parser(
-        "corpus", help="generate a reproducible program corpus")
-    fuzz_corpus_p.add_argument("--out", required=True, metavar="DIR")
-    fuzz_corpus_p.add_argument("--programs", type=int, default=100,
-                               metavar="N")
-    fuzz_corpus_p.add_argument("--functions", type=int, default=5,
-                               metavar="N",
-                               help="functions per program (default 5)")
-    fuzz_corpus_p.add_argument("--profile", default="default",
-                               metavar="NAME")
-    fuzz_corpus_p.add_argument("--seed0", type=int, default=0,
-                               metavar="K",
-                               help="first seed (default 0)")
-    fuzz_corpus_p.add_argument("--replay", action="store_true",
-                               help="compile + verify every program "
-                                    "after writing it")
-    fuzz_corpus_p.set_defaults(fn=cmd_fuzz)
     return parser
 
 

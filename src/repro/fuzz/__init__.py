@@ -18,15 +18,14 @@ Three layers, each usable on its own:
 
 :mod:`~repro.fuzz.corpus`
     Self-contained repro files (header comments carry provenance and
-    the verify runs), the ``tests/corpus_regressions/`` replay
-    convention, and bulk corpus generation for throughput benchmarks.
+    the verify runs) and the ``tests/corpus_regressions/`` replay
+    convention.
 
 See docs/fuzzing.md for the workflow.
 """
 
-from .corpus import (Regression, build_corpus, iter_regressions,
-                     load_corpus, load_regression, replay_regression,
-                     write_regression)
+from .corpus import (Regression, iter_regressions, load_regression,
+                     replay_regression, write_regression)
 from .differential import (AGGREGATE_INVARIANTS, ALL_CHECKS,
                            DEFAULT_INVARIANTS,
                            REDUCIBLE_ONLY_AGGREGATES, Divergence,
@@ -38,9 +37,9 @@ __all__ = [
     "AGGREGATE_INVARIANTS", "ALL_CHECKS", "DEFAULT_INVARIANTS",
     "REDUCIBLE_ONLY_AGGREGATES",
     "Divergence", "FuzzReport",
-    "MinimizeResult", "Regression", "SeedResult", "build_corpus",
+    "MinimizeResult", "Regression", "SeedResult",
     "check_module", "check_seed", "divergence_predicate",
-    "iter_regressions", "load_corpus", "load_regression", "minimize",
+    "iter_regressions", "load_regression", "minimize",
     "oracle_cross_check", "replay_regression", "run_fuzz",
     "write_regression",
 ]

@@ -1,4 +1,4 @@
-"""Self-contained repro files and bulk corpora.
+"""Self-contained repro files.
 
 Repro / regression file format -- plain LAI prefixed with structured
 comment headers, so the file replays with zero out-of-band state:
@@ -19,26 +19,16 @@ Files committed under ``tests/corpus_regressions/`` are replayed by the
 tier-1 suite through *every* check (:func:`replay_regression`), so a
 fixed bug stays fixed under all compositions, not just the one that
 originally failed.
-
-Bulk corpora (:func:`build_corpus`) are directories of generated ``.lai``
-programs plus a ``manifest.json`` carrying the verify runs -- the input
-of the throughput benchmark suite and of ``repro fuzz corpus``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from ..benchgen.synthetic import (SyntheticConfig, generate_module_source,
-                                  profile_config, verify_runs)
 from .differential import (ALL_CHECKS, Divergence, SeedResult,
                            check_module)
-
-#: Manifest schema tag of a generated corpus directory.
-CORPUS_SCHEMA = "repro.fuzz-corpus/v1"
 
 
 @dataclass
@@ -161,68 +151,3 @@ def iter_regressions(directory: str | os.PathLike) -> Iterator[str]:
     for name in sorted(os.listdir(root)):
         if name.endswith(".lai"):
             yield os.path.join(root, name)
-
-
-# ----------------------------------------------------------------------
-# Bulk corpora
-# ----------------------------------------------------------------------
-def build_corpus(directory: str | os.PathLike,
-                 programs: int,
-                 n_functions: int = 5,
-                 profile: str = "default",
-                 seed0: int = 0,
-                 config: Optional[SyntheticConfig] = None) -> dict:
-    """Generate *programs* seeded modules into *directory* and write a
-    ``manifest.json``; returns the manifest.
-
-    Seeds run ``seed0 .. seed0+programs-1``; thanks to the generator's
-    per-``(seed, index)`` streams the corpus is fully reproducible and
-    stable under regeneration with a larger ``programs``.
-    """
-    root = os.fspath(directory)
-    os.makedirs(root, exist_ok=True)
-    config = config if config is not None else profile_config(profile)
-    entries = []
-    total_functions = 0
-    for offset in range(programs):
-        seed = seed0 + offset
-        name = f"corpus_{profile.replace('-', '_')}_{seed}"
-        source = generate_module_source(seed, n_functions, config, name)
-        verify = verify_runs(seed, n_functions, config, name)
-        filename = f"seed_{seed:06d}.lai"
-        with open(os.path.join(root, filename), "w",
-                  encoding="utf-8") as handle:
-            handle.write(source if source.endswith("\n")
-                         else source + "\n")
-        entries.append({"file": filename, "seed": seed, "name": name,
-                        "functions": n_functions,
-                        "verify": [[fn, list(args)]
-                                   for fn, args in verify]})
-        total_functions += n_functions
-    manifest = {"schema": CORPUS_SCHEMA, "profile": profile,
-                "n_functions": n_functions, "seed0": seed0,
-                "functions": total_functions, "programs": entries}
-    with open(os.path.join(root, "manifest.json"), "w",
-              encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=1)
-        handle.write("\n")
-    return manifest
-
-
-def load_corpus(directory: str | os.PathLike) \
-        -> Iterator[tuple[str, str, list]]:
-    """Yield ``(name, source, verify)`` for every program of a corpus
-    directory written by :func:`build_corpus`."""
-    root = os.fspath(directory)
-    with open(os.path.join(root, "manifest.json"),
-              encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    if manifest.get("schema") != CORPUS_SCHEMA:
-        raise ValueError(
-            f"not a fuzz corpus manifest: {manifest.get('schema')!r}")
-    for entry in manifest["programs"]:
-        with open(os.path.join(root, entry["file"]),
-                  encoding="utf-8") as handle:
-            source = handle.read()
-        verify = [(fn, list(args)) for fn, args in entry["verify"]]
-        yield entry["name"], source, verify

@@ -177,9 +177,8 @@ class FunctionBuilder:
         self.emit("ret", None, *values)
 
     # ------------------------------------------------------------------
-    def finish(self, validate: bool = True, ssa: bool = False) -> Function:
-        if validate:
-            from .validate import validate_function
+    def finish(self, ssa: bool = False) -> Function:
+        from .validate import validate_function
 
-            validate_function(self.function, ssa=ssa)
+        validate_function(self.function, ssa=ssa)
         return self.function

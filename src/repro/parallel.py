@@ -9,7 +9,10 @@ greedy-LPT partition (:func:`partition`), runs each shard through one
 worker task (:func:`_compile_units`) on a :class:`WorkerPool`, and
 returns each job's payloads -- or the exception the job raised -- in
 shard order.  :func:`merge_job` folds one job's payloads back into an
-:class:`~repro.pipeline.ExperimentResult`.
+:class:`~repro.pipeline.ExperimentResult`.  Both are called by
+:func:`run_phases_parallel` alone: the pool half of
+:func:`repro.pipeline.run_jobs`, the driver every batch of compiles
+(one experiment, a table, a ``repro serve`` batch) goes through.
 
 The merge is the actual contract of this module: paper-metric output
 must be **byte-identical at any job count**.  A worker payload is a
@@ -28,15 +31,15 @@ adds what is parallel-specific:
   ``verify=`` in the parent, against the input and the merged module,
   exactly as the serial run does.
 
-``jobs`` semantics everywhere (``run_experiment``, ``run_table``,
-``run_table5``, the CLI ``--jobs`` and the benchmark harness):
-``None`` reads ``$REPRO_JOBS`` (default 1), ``0`` means all cores,
-``1`` is serial, ``N>1`` uses at most N workers.  ``pool=`` (a
+``jobs`` semantics everywhere (``run_jobs``, ``run_experiment``,
+``run_table``, ``run_table5``, the CLI ``--jobs`` and the benchmark
+harness): ``None`` reads ``$REPRO_JOBS`` (default 1), ``0`` means all
+cores, ``1`` is serial, ``N>1`` uses at most N workers.  ``pool=`` (a
 :class:`WorkerPool`) reuses the caller's pool; with only ``jobs=N`` a
 pool is opened for that one call.  Callers that loop (``repro tables``,
 a fuzz sweep, ``repro serve``) hold one pool across their calls.
 
-:func:`run_units` returns ``None`` -- and the caller runs its serial
+:func:`run_units` returns ``None`` -- and ``run_jobs`` runs its serial
 path -- when the worker count resolves to 1, when there is at most one
 unit, when the platform lacks the ``fork`` start method, or when the
 pool broke even after a respawn.  Worker *exceptions* are not
@@ -157,7 +160,7 @@ def _compile_units(spec) -> list:
     from . import pipeline as _pipeline
     from .analysis.manager import AnalysisManager
 
-    subjobs, target, validate, traced, cache = spec
+    subjobs, target, traced, cache = spec
     out = []
     for j, shard, phases, options in subjobs:
         tracer = Tracer() if traced else NULL_TRACER
@@ -167,7 +170,7 @@ def _compile_units(spec) -> list:
         try:
             parts = _pipeline.compile_parts(
                 shard, phases, options or _pipeline.PhaseOptions(), target,
-                validate, tracer, manager, cache)
+                tracer, manager, cache)
             merged, phase_stats, breakdown = \
                 _pipeline.fold(shard, parts, tracer)
         except Exception as error:  # noqa: BLE001 -- per-job isolation
@@ -326,8 +329,7 @@ def shared_pool(jobs: Optional[int]):
 # ----------------------------------------------------------------------
 def run_units(batch: Sequence[Job], jobs: Optional[int] = None,
               pool: Optional[WorkerPool] = None,
-              target: Target = ST120, validate: bool = True,
-              traced: bool = False, cache=None):
+              target: Target = ST120, traced: bool = False, cache=None):
     """Compile every ``(job, function)`` unit of *batch* on a pool.
 
     Units are LPT-placed by instruction count across
@@ -360,7 +362,7 @@ def run_units(batch: Sequence[Job], jobs: Optional[int] = None,
         subjobs = [(j, shard_module(batch[j].module, names),
                     tuple(batch[j].phases), batch[j].options)
                    for j, names in sorted(grouped.items())]
-        specs.append((subjobs, target, validate, traced, cache))
+        specs.append((subjobs, target, traced, cache))
     start = time.perf_counter_ns()
     if pool is not None:
         shards = pool.run(_compile_units, specs)
@@ -481,27 +483,28 @@ def merge_job(module: Module, name: str, payloads: Sequence[dict],
     return result
 
 
-def run_phases_parallel(module: Module, name: str, phases,
-                        options=None, target: Target = ST120,
-                        verify=None, validate: bool = True,
-                        tracer=None, jobs: Optional[int] = None,
-                        cache=None, pool=None):
-    """Parallel twin of :func:`repro.pipeline.run_phases`: one job on
-    the engine, merged by :func:`merge_job`.  Falls back to the serial
-    path whenever :func:`run_units` declines; a worker exception is
-    re-raised exactly as the serial run would raise it."""
-    from . import pipeline as _pipeline
-
-    tracer = resolve_tracer(tracer)
-    phases = tuple(phases)
-    sharded = run_units([Job(module, name, phases, options)], jobs, pool,
-                        target=target, validate=validate,
-                        traced=tracer.enabled, cache=cache)
+def run_phases_parallel(batch: Sequence[Job], verify, tracers, jobs,
+                        pool, cache, target: Target) -> Optional[list]:
+    """The pool half of :func:`repro.pipeline.run_jobs`: every job of
+    *batch* as units on the engine, each merged by :func:`merge_job`
+    under its own resolved tracer of *tracers*.  Returns, per job, its
+    result or the exception it raised (in a worker or in the merge's
+    ``verify:after``), or ``None`` when :func:`run_units` declines and
+    the caller runs serially."""
+    sharded = run_units(batch, jobs, pool, target,
+                        traced=any(tracer.enabled for tracer in tracers),
+                        cache=cache)
     if sharded is None:
-        return _pipeline.run_phases(module, name, phases, options, target,
-                                    verify, validate, tracer, cache=cache)
-    workers, pool_ns, (outcome,) = sharded
-    if isinstance(outcome, Exception):
-        raise outcome
-    return merge_job(module, name, outcome, verify, tracer,
-                     workers=workers, pool_ns=pool_ns)
+        return None
+    workers, pool_ns, outcomes = sharded
+    results = []
+    for job, tracer, outcome in zip(batch, tracers, outcomes):
+        if not isinstance(outcome, Exception):
+            try:
+                outcome = merge_job(job.module, job.name, outcome, verify,
+                                    tracer, workers=workers,
+                                    pool_ns=pool_ns)
+            except Exception as error:  # noqa: BLE001 -- per-job isolation
+                outcome = error
+        results.append(outcome)
+    return results

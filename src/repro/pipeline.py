@@ -19,9 +19,11 @@ phase                      meaning
 :data:`EXPERIMENTS` reproduces the exact bullet matrix of Table 1, keyed
 by the labels used in Tables 2-4 (``Lφ+C``, ``Sφ+C``, ``LABI+C``, ...);
 :func:`run_experiment` executes one of them on a module and returns the
-transformed module plus the collected statistics.  The pipeline verifies
-the IR between phases and can check semantic equivalence against the
-reference interpreter (``verify=...``).
+transformed module plus the collected statistics; :func:`run_jobs`, the
+one driver every caller compiles through, runs any batch of them,
+serially or on the worker pool.  The pipeline validates the IR after
+every phase and can check semantic equivalence against the reference
+interpreter (``verify=...``).
 """
 
 from __future__ import annotations
@@ -218,52 +220,84 @@ def run_experiment(module: Module, name: str,
                    target: Target = ST120,
                    verify: Optional[Sequence[tuple[str, Sequence[int]]]]
                    = None,
-                   validate: bool = True,
                    tracer=None,
                    jobs: Optional[int] = None,
                    cache=None,
                    pool=None,
                    prefix: Optional["PrefixPlan"] = None) \
         -> ExperimentResult:
-    """Run experiment *name* on a fresh copy of *module*.
+    """Run experiment *name* on a fresh copy of *module*: a one-job
+    :func:`run_jobs` (see there for the arguments) that raises the
+    job's exception."""
+    from .parallel import Job
+
+    (result,) = run_jobs([Job(module, name, EXPERIMENTS[name], options)],
+                         verify, tracer, jobs, pool, cache, target, prefix)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def run_jobs(batch: Sequence, verify=None, tracer=None,
+             jobs: Optional[int] = None, pool=None, cache=None,
+             target: Target = ST120,
+             prefix: Optional["PrefixPlan"] = None) -> list:
+    """Compile every :class:`~repro.parallel.Job` of *batch* and return,
+    per job and in batch order, its :class:`ExperimentResult` or the
+    exception it raised; every job runs whatever the others do.
 
     ``verify`` is an optional list of ``(function_name, args)`` pairs;
     the observable trace of each is compared before and after the whole
-    pipeline, making every experiment self-checking.  ``tracer`` (an
+    pipeline, making every job self-checking.  ``tracer`` (an
     :class:`repro.observability.Tracer`) records per-phase spans, IR
     deltas and decision counters; ``None`` installs the zero-overhead
-    null tracer.  ``jobs`` shards the module's functions across a
-    worker pool (see :mod:`repro.parallel`): ``None`` reads
-    ``$REPRO_JOBS`` (default 1 = serial), ``0`` uses every core;
-    results are merged deterministically, so output is identical at
-    any job count.  ``cache`` enables the persistent compilation cache
-    (:mod:`repro.cache`): a :class:`~repro.cache.CompilationCache`, a
-    directory path, or ``None`` to consult ``$REPRO_CACHE`` (unset =
-    no caching); output is identical cache-hot and cache-cold.  The
-    tracer never changes a single output byte.  ``pool`` (a
-    :class:`~repro.parallel.WorkerPool`) reuses a persistent executor
-    instead of forking per call -- same merge, same bytes, no per-call
-    fork cost.  ``prefix`` (a :class:`PrefixPlan` over a fixed sequence
-    of runs on *module*) lets this run resume from a phase prefix an
-    earlier run of the sequence already executed; same bytes, same
-    ``result`` block.  It is used on the serial path only, and never
-    with a cache: a cache hit already skips every phase.
+    null tracer, and a zero-argument factory such as the ``Tracer``
+    class gives each job its own recorder.  ``jobs`` shards the
+    ``(job, function)`` units across a worker pool (see
+    :mod:`repro.parallel`): ``None`` reads ``$REPRO_JOBS`` (default 1 =
+    serial), ``0`` uses every core; results are merged
+    deterministically, so output is identical at any job count.
+    ``pool`` (a :class:`~repro.parallel.WorkerPool`) reuses a
+    persistent executor instead of forking per call -- same merge, same
+    bytes, no per-call fork cost.  ``cache`` enables the persistent
+    compilation cache (:mod:`repro.cache`): a
+    :class:`~repro.cache.CompilationCache`, a directory path, or
+    ``None`` to consult ``$REPRO_CACHE`` (unset = no caching); output is
+    identical cache-hot and cache-cold.  The tracer never changes a
+    single output byte.
+
+    The pool half (:func:`repro.parallel.run_phases_parallel`) runs
+    first; when it declines, each job runs through :func:`run_phases`.
+    Uncached serial jobs share one :class:`PrefixPlan`, which resumes a
+    job from a phase prefix an earlier job already executed (same
+    bytes, same ``result`` block): *prefix* when given, else a new
+    plan when the batch holds two or more jobs, all of one module.
+    IR validation runs after every phase.
     """
-    phases = EXPERIMENTS[name]
+    from . import parallel
     from .cache import resolve_cache
-    from .parallel import fork_available, resolve_jobs
 
     cache = resolve_cache(cache)
-    configured = pool.workers if pool is not None else resolve_jobs(jobs)
-    if configured > 1 and len(module.functions) > 1 and fork_available():
-        from .parallel import run_phases_parallel
-
-        return run_phases_parallel(module, name, phases, options, target,
-                                   verify, validate, tracer, jobs=jobs,
-                                   cache=cache, pool=pool)
-    return run_phases(module, name, phases, options, target, verify,
-                      validate, tracer, cache=cache,
-                      prefix=prefix if cache is None else None)
+    tracers = [resolve_tracer(tracer() if callable(tracer) else tracer)
+               for _ in batch]
+    results = parallel.run_phases_parallel(batch, verify, tracers, jobs,
+                                           pool, cache, target)
+    if results is not None:
+        return results
+    if cache is not None:
+        prefix = None
+    elif prefix is None and len(batch) > 1 \
+            and all(job.module is batch[0].module for job in batch):
+        prefix = PrefixPlan([(job.phases, job.options) for job in batch])
+    results = []
+    for job, job_tracer in zip(batch, tracers):
+        try:
+            results.append(run_phases(job.module, job.name, job.phases,
+                                      job.options, target, verify,
+                                      job_tracer, cache, prefix))
+        except Exception as error:  # noqa: BLE001 -- per-job isolation
+            results.append(error)
+    return results
 
 
 def _snapshot(module: Module) -> dict[str, dict[str, int]]:
@@ -483,7 +517,7 @@ def _part(module: Module) -> dict:
 
 
 def compile_parts(module: Module, phases: tuple, options: PhaseOptions,
-                  target: Target, validate: bool, tracer,
+                  target: Target, tracer,
                   manager: AnalysisManager, cache=None,
                   prefix: Optional["PrefixPlan"] = None) -> list[dict]:
     """The phase pipeline without its frame: run *phases* over a copy
@@ -561,15 +595,13 @@ def compile_parts(module: Module, phases: tuple, options: PhaseOptions,
             manager.invalidate(function, preserves=PHASE_PRESERVES[phase])
         if stats is not None:
             local["phase_stats"][phase] = stats
-        if validate:
-            with tracer.span(f"validate:{phase}"):
-                for function in work.iter_functions():
-                    stamp = (function.epoch, function.cfg_epoch, in_ssa)
-                    if validated.get(function) == stamp:
-                        continue
-                    validate_function(function, ssa=in_ssa,
-                                      allow_phis=in_ssa)
-                    validated[function] = stamp
+        with tracer.span(f"validate:{phase}"):
+            for function in work.iter_functions():
+                stamp = (function.epoch, function.cfg_epoch, in_ssa)
+                if validated.get(function) == stamp:
+                    continue
+                validate_function(function, ssa=in_ssa, allow_phis=in_ssa)
+                validated[function] = stamp
         if prefix is not None:
             prefix.passed(depth + 1, work, local, in_ssa, tracer)
 
@@ -597,13 +629,12 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                options: Optional[PhaseOptions] = None,
                target: Target = ST120,
                verify: Optional[Sequence[tuple[str, Sequence[int]]]] = None,
-               validate: bool = True,
                tracer=None,
                cache=None,
                prefix: Optional["PrefixPlan"] = None) \
         -> ExperimentResult:
     """Run *phases* on a copy of *module* inside the
-    :func:`verified_run` frame (see :func:`run_experiment` for the
+    :func:`verified_run` frame (see :func:`run_jobs` for the
     arguments; *prefix* is a :class:`PrefixPlan`, which runs uncached
     only).  ``env.analysis_cache`` covers the phases, not the metric
     counting after them."""
@@ -614,14 +645,13 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
         if cache is not None:
             raise ValueError("a prefix plan runs uncached: a cache hit "
                              "already skips every phase")
-        prefix.begin(module, phases, options, verify, target, validate,
-                     tracer)
+        prefix.begin(module, phases, options, verify, target, tracer)
     manager = AnalysisManager()
     cache_mark = cache.stats() if cache is not None else None
     with verified_run(module, name, verify, tracer, manager, prefix) \
             as (result, _):
-        parts = compile_parts(module, phases, options, target, validate,
-                              tracer, manager, cache, prefix)
+        parts = compile_parts(module, phases, options, target, tracer,
+                              manager, cache, prefix)
         result.module, result.phase_stats, result.phase_breakdown = \
             fold(module, parts, tracer)
         result.analysis_cache = manager.stats()
@@ -661,9 +691,9 @@ class PrefixPlan:
     entries as :func:`fold` replays a cache hit, so its ``result`` block
     equals an unshared run's; only ``env`` differs (the prefix's timing
     is the run that executed it; ``analysis_cache``, ``events`` and the
-    code cache count only what this run did).  A plan is bound to one module,
-    ``verify`` list, target, ``validate`` flag and tracer mode, taken
-    from its first run: a run with different ones, or out of order,
+    code cache count only what this run did).  A plan is bound to one
+    module, ``verify`` list, target and tracer mode, taken from its
+    first run: a run with different ones, or out of order,
     raises :class:`ValueError`.  Runs are strictly sequential.
     """
 
@@ -702,17 +732,16 @@ class PrefixPlan:
         self._base: Optional[dict] = None
 
     def begin(self, module: Module, phases: tuple, options: PhaseOptions,
-              verify, target: Target, validate: bool, tracer) -> None:
+              verify, target: Target, tracer) -> None:
         """Check that this run is the plan's next one, on its binding."""
         binding = (tuple((fn_name, tuple(args))
                          for fn_name, args in verify or ()),
-                   target, validate, tracer.enabled)
+                   target, tracer.enabled)
         if self._binding is None:
             self._module, self._binding = module, binding
         elif module is not self._module or binding != self._binding:
             raise ValueError("a prefix plan is bound to one module, "
-                             "verify list, target, validate flag and "
-                             "tracer mode")
+                             "verify list, target and tracer mode")
         if self._next == len(self._runs):
             raise ValueError(f"the prefix plan has only {self._next} runs")
         run = self._runs[self._next]
@@ -774,70 +803,40 @@ class PrefixPlan:
             }
 
 
-def _run_labelled(module: Module, specs, verify, validate, tracer,
-                  jobs, cache=None, pool=None) -> list[ExperimentResult]:
-    """Run ``(label, experiment, options)`` *specs*, serially or -- when
-    ``jobs``/``pool`` allow -- as one batch of ``(experiment, function)``
-    units on the parallel engine (:mod:`repro.parallel`).  Serial runs
-    share their phase prefixes through one :class:`PrefixPlan`.
+def _run_labelled(module: Module, specs, verify, tracer, jobs,
+                  cache=None, pool=None) -> list[ExperimentResult]:
+    """Run ``(label, experiment, options)`` *specs* on *module* as one
+    :func:`run_jobs` batch, each result named by its label; raises the
+    first exception in spec order.  ``tracer`` may be a factory (see
+    :func:`run_jobs`)."""
+    from .parallel import Job
 
-    ``tracer`` may be a tracer instance (shared across all runs) or a
-    zero-argument factory such as the :class:`Tracer` class itself (one
-    fresh tracer per run, which is what per-run stats documents want).
-    ``pool`` reuses a persistent :class:`~repro.parallel.WorkerPool`
-    across calls.
-    """
-    from .cache import resolve_cache
-    from .parallel import Job, merge_job, run_units
-
-    cache = resolve_cache(cache)
-    tracers = [tracer() if callable(tracer) else tracer for _ in specs]
-    sharded = run_units(
-        [Job(module, name, EXPERIMENTS[name], options)
-         for _, name, options in specs], jobs, pool,
-        validate=validate,
-        traced=any(resolve_tracer(t).enabled for t in tracers),
-        cache=cache)
-    plan = PrefixPlan([(EXPERIMENTS[name], options)
-                       for _, name, options in specs]) \
-        if sharded is None else None
-    results = []
-    for i, (label, name, options) in enumerate(specs):
-        if sharded is None:
-            result = run_experiment(module, name, options=options,
-                                    verify=verify, validate=validate,
-                                    tracer=tracers[i], jobs=1, cache=cache,
-                                    prefix=plan)
-        else:
-            workers, pool_ns, outcomes = sharded
-            if isinstance(outcomes[i], Exception):
-                raise outcomes[i]
-            result = merge_job(module, name, outcomes[i], verify,
-                               tracers[i], workers=workers,
-                               pool_ns=pool_ns)
+    results = run_jobs([Job(module, name, EXPERIMENTS[name], options)
+                        for _, name, options in specs],
+                       verify, tracer, jobs, pool, cache)
+    for (label, _, _), result in zip(specs, results):
+        if isinstance(result, Exception):
+            raise result
         result.name = label
-        results.append(result)
     return results
 
 
 def run_table(module: Module, table: str,
               verify: Optional[Sequence[tuple[str, Sequence[int]]]] = None,
               options: Optional[PhaseOptions] = None,
-              validate: bool = True,
               tracer=None,
               jobs: Optional[int] = None,
               cache=None,
               pool=None) -> list[ExperimentResult]:
     """Run all experiments of one paper table on *module*.
 
-    ``options``/``validate``/``tracer``/``cache`` are forwarded to every
-    :func:`run_experiment`; ``tracer`` may be a factory (e.g. the
-    ``Tracer`` class) to give each run its own recorder.  ``jobs > 1``
-    (or ``pool``) shards the ``(experiment, function)`` units of the
-    whole table across one worker pool.
+    ``options``/``tracer``/``cache`` apply to every run; ``tracer`` may
+    be a factory (e.g. the ``Tracer`` class) to give each run its own
+    recorder.  ``jobs > 1`` (or ``pool``) shards the ``(experiment,
+    function)`` units of the whole table across one worker pool.
     """
     specs = [(name, name, options) for name in TABLE_EXPERIMENTS[table]]
-    return _run_labelled(module, specs, verify, validate, tracer, jobs,
+    return _run_labelled(module, specs, verify, tracer, jobs,
                          cache=cache, pool=pool)
 
 
@@ -846,7 +845,6 @@ def run_experiments(module: Module,
                     verify: Optional[Sequence[tuple[str, Sequence[int]]]]
                     = None,
                     options: Optional[PhaseOptions] = None,
-                    validate: bool = True,
                     tracer=None,
                     jobs: Optional[int] = None,
                     cache=None,
@@ -856,7 +854,7 @@ def run_experiments(module: Module,
     across a worker pool (``pool`` reuses a persistent
     :class:`~repro.parallel.WorkerPool`)."""
     specs = [(name, name, options) for name in (names or EXPERIMENTS)]
-    return _run_labelled(module, specs, verify, validate, tracer, jobs,
+    return _run_labelled(module, specs, verify, tracer, jobs,
                          cache=cache, pool=pool)
 
 
@@ -872,7 +870,6 @@ def table5_variants() -> dict[str, PhaseOptions]:
 
 def run_table5(module: Module,
                verify: Optional[Sequence[tuple[str, Sequence[int]]]] = None,
-               validate: bool = True,
                tracer=None,
                jobs: Optional[int] = None,
                cache=None,
@@ -881,5 +878,5 @@ def run_table5(module: Module,
     the full constrained pipeline (``Lφ,ABI+C``)."""
     specs = [(label, "Lphi,ABI+C", options)
              for label, options in table5_variants().items()]
-    return _run_labelled(module, specs, verify, validate, tracer, jobs,
+    return _run_labelled(module, specs, verify, tracer, jobs,
                          cache=cache, pool=pool)

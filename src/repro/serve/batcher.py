@@ -1,27 +1,27 @@
-"""Request batching: many in-flight compiles, one engine call.
+"""Request batching: many in-flight compiles, one driver call.
 
-The server drains its queue into a *batch* and hands it here.  Each
-request is one job of :func:`repro.parallel.run_units`, so every
-``(request, function)`` pair is one work unit and the engine's
-greedy-LPT placement spans request boundaries -- one large request and
-five small ones fill the pool evenly instead of queueing behind each
-other.  Each request's payloads merge through
-:func:`repro.parallel.merge_job`, which assembles them with the same
-:func:`repro.pipeline.fold` the serial path uses for its own output
-and its cache hits -- that is what makes a batched response
-**byte-identical** to the serial CLI path: same module order, same
-``phase_stats`` sequencing, same summed counters.
+The server drains its queue into a *batch* and hands it here.  The
+whole batch is one :func:`repro.pipeline.run_jobs` call, each request
+one job of it, so with the server's pool every ``(request, function)``
+pair is one work unit and the engine's greedy-LPT placement spans
+request boundaries -- one large request and five small ones fill the
+pool evenly instead of queueing behind each other.  Each request's
+payloads merge through the same :func:`repro.pipeline.fold` the serial
+path uses for its own output and its cache hits -- that is what makes a
+batched response **byte-identical** to the serial CLI path: same module
+order, same ``phase_stats`` sequencing, same summed counters.
 
 Failures stay per-request: a request whose compile raises (validation
 error, malformed IR that parsed but does not compile) turns into that
 request's ``{"ok": false}`` response; the other requests in the batch
 are unaffected.
 
-The serial path (no pool, pool broke, or a batch of one single-function
-request) runs in the server process against the same cache directory,
-so cache heat is identical either way.  Every request compiles untraced
-for the ST120 target with IR validation on, as the one-shot
-``repro compile`` the responses are byte-identical to does.
+Without a pool (or when the engine declines: the pool broke, or a batch
+of one single-function request) ``run_jobs`` runs the requests serially
+in the server process against the same cache directory, so cache heat
+is identical either way.  Every request compiles untraced for the ST120
+target, as the one-shot ``repro compile`` the responses are
+byte-identical to does.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..ir.printer import format_module
-from ..machine.st120 import ST120
 from ..observability.statdiff import stats_digest
-from ..parallel import Job, merge_job, run_units
+from ..parallel import Job
+from ..pipeline import run_jobs
 from .protocol import ProtocolError
 
 
@@ -48,16 +48,18 @@ class ServeJob:
     response: Optional[dict] = None
 
 
-def _error(error: Exception) -> dict:
-    return {"ok": False, "error": f"{type(error).__name__}: {error}"}
-
-
-def _respond(result, batch: dict) -> dict:
+def _respond(result, size: int) -> dict:
     """Build the success response.  ``stats_digest`` hashes the stats
     document's ``result`` block, which is exactly what an untraced
     serial :func:`repro.pipeline.run_phases` produces for this request
     (pool shape and cache traffic live in ``env``, which the digest
-    never reads), so it matches the one-shot CLI at any jobs setting."""
+    never reads), so it matches the one-shot CLI at any jobs setting.
+    The ``batch`` block reads the pool shape from ``result.parallel``,
+    empty for a serial run."""
+    parallel = result.parallel
+    batch = {"size": size, "mode": "pool", "workers": parallel["jobs"],
+             "shards": len(parallel["shards"])} if parallel \
+        else {"size": size, "mode": "serial", "shards": 1}
     return {
         "ok": True,
         "experiment": result.name,
@@ -72,33 +74,12 @@ def _respond(result, batch: dict) -> dict:
     }
 
 
-def _run_serial(jobs: Sequence[ServeJob], cache) -> None:
-    """In-process fallback: each request through ``run_phases`` against
-    the server's own cache handle."""
-    from .. import pipeline as _pipeline
-
-    for job in jobs:
-        request = job.request
-        try:
-            result = _pipeline.run_phases(
-                request.module, request.experiment, request.phases,
-                request.options, ST120, cache=cache)
-        except Exception as error:  # noqa: BLE001 -- per-request isolation
-            job.response = _error(error)
-        else:
-            job.response = _respond(
-                result, {"size": len(jobs), "mode": "serial", "shards": 1})
-
-
 def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None) -> None:
-    """Compile every job of the batch, filling ``job.response``.
-
-    With a :class:`~repro.parallel.WorkerPool`, the whole batch is one
-    :func:`~repro.parallel.run_units` call; without one -- or when the
-    engine declines (see :mod:`repro.parallel`) -- requests run
-    serially in-process.  Either way every job ends with a response
-    dict (``ok`` true or false); this function does not raise for
-    per-request failures.
+    """Compile every job of the batch through one
+    :func:`~repro.pipeline.run_jobs` call (serially in-process when
+    there is no :class:`~repro.parallel.WorkerPool`), filling
+    ``job.response``.  Every job ends with a response dict (``ok`` true
+    or false); this function does not raise for per-request failures.
     """
     jobs = [job for job in jobs if job.response is None]
     # Parse here, in the batch worker thread: the event loop only ever
@@ -113,26 +94,13 @@ def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None) -> None:
         else:
             parsed.append(job)
     jobs = parsed
-    if not jobs:
-        return
-    sharded = None
-    if pool is not None:
-        sharded = run_units(
-            [Job(job.request.module, job.request.experiment,
-                 job.request.phases, job.request.options) for job in jobs],
-            pool=pool, cache=cache)
-    if sharded is None:
-        _run_serial(jobs, cache)
-        return
-
-    workers, pool_ns, outcomes = sharded
-    for job, outcome in zip(jobs, outcomes):
-        if isinstance(outcome, Exception):
-            job.response = _error(outcome)
-            continue
-        request = job.request
-        result = merge_job(request.module, request.experiment, outcome,
-                           workers=workers, pool_ns=pool_ns)
-        job.response = _respond(result, {"size": len(jobs), "mode": "pool",
-                                         "workers": workers,
-                                         "shards": len(outcome)})
+    results = run_jobs(
+        [Job(job.request.module, job.request.experiment,
+             job.request.phases, job.request.options) for job in jobs],
+        jobs=1 if pool is None else None, pool=pool, cache=cache)
+    for job, result in zip(jobs, results):
+        if isinstance(result, Exception):
+            job.response = {"ok": False,
+                            "error": f"{type(result).__name__}: {result}"}
+        else:
+            job.response = _respond(result, len(jobs))

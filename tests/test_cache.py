@@ -6,7 +6,7 @@ The contract under test is the acceptance bar of the cache
 * an identical recompile is a **hit** for every function, and the
   output -- module text, metrics, per-phase stats, decision counters --
   is byte-identical to the cold run;
-* changing the input IR, the phase options, or the salt is a **miss**;
+* changing the input IR or the phase options is a **miss**;
 * a truncated or bit-rotten entry is silently recompiled, never an
   error;
 * a small size cap triggers LRU **eviction**;
@@ -71,11 +71,6 @@ class TestKeys:
     def test_none_options_hash_like_defaults(self):
         assert options_fingerprint(None) == \
             options_fingerprint(PhaseOptions())
-
-    def test_salt_changes_key(self, module):
-        function = next(iter(module.functions.values()))
-        assert cache_key(function, PHASES, None, ST120) != \
-            cache_key(function, PHASES, None, ST120, salt="other")
 
     def test_fingerprint_covers_fresh_name_counters(self):
         one = module_of(LOOP).functions["loop"]
@@ -159,15 +154,6 @@ class TestRoundTrip:
                                 cache=cache_dir)
         assert varied.cache["hits"] == 0
         assert varied.cache["misses"] == len(module.functions)
-
-    def test_salt_change_misses(self, module, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        run_experiment(module, "Lphi,ABI+C",
-                       cache=CompilationCache(cache_dir, salt="a"))
-        salted = CompilationCache(cache_dir, salt="b")
-        run_experiment(module, "Lphi,ABI+C", cache=salted)
-        assert salted.hits == 0
-        assert salted.misses == len(module.functions)
 
     def test_experiments_share_only_identical_pipelines(self, module,
                                                         tmp_path):

@@ -87,6 +87,32 @@ class TestCompile:
         assert "pinned SSA" in err
         assert "phi" in err
 
+    @pytest.mark.parametrize("flags, experiment, variant", [
+        (["-e", "Sphi+C"], "Sphi+C", "base"),
+        (["--variant", "pess"], "Lphi,ABI+C", "pess")],
+        ids=["Sphi+C", "pess"])
+    def test_show_ssa_is_the_pipelines_own(self, flags, experiment,
+                                           variant, capsys):
+        # The dump is the experiment's own module right before
+        # out-of-pinned-ssa: sreedhar has run, and pinningPhi saw the
+        # variant's options.
+        from repro.ir.printer import format_module
+        from repro.lai import parse_module
+        from repro.pipeline import EXPERIMENTS, run_phases, table5_variants
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "examples", "dsp_pipeline.lai")
+        assert main(["compile", path, "--show-ssa", *flags]) == 0
+        err = capsys.readouterr().err
+        shown = err.split("; ---- pinned SSA ----\n", 1)[1] \
+            .split("\n; experiment=", 1)[0]
+        phases = EXPERIMENTS[experiment]
+        module = parse_module(open(path).read(), name=path)
+        expected = run_phases(module, experiment,
+                              phases[:phases.index("out-of-pinned-ssa")],
+                              table5_variants()[variant]).module
+        assert shown == format_module(expected)
+
     def test_profile_passes(self, lai_file, capsys):
         assert main(["compile", lai_file, "--profile-passes"]) == 0
         err = capsys.readouterr().err
@@ -282,6 +308,26 @@ class TestRejectedOptions:
         # window or interpreter tier (serve requests never replay).
         assert self._options("serve") == {
             "-h", "--help", "--socket", "--jobs", "--cache-dir"}
+
+    def test_cache_dir_help_matches_each_command(self):
+        # A server without --cache-dir still caches, in a private store;
+        # a one-shot command without it does not cache at all.
+        from repro.cli import build_parser
+
+        subparsers, = [action for action in build_parser()._actions
+                       if action.choices]
+
+        def cache_help(command: str) -> str:
+            action, = [action for action
+                       in subparsers.choices[command]._actions
+                       if "--cache-dir" in action.option_strings]
+            return action.help
+
+        assert "unset = a private temporary store removed at shutdown" \
+            in cache_help("serve")
+        assert "no caching" not in cache_help("serve")
+        for command in ("compile", "experiments", "tables"):
+            assert "unset = no caching" in cache_help(command), command
 
     def test_serve_rejects_metrics(self):
         # The server always counts; its totals are read live through

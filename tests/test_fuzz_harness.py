@@ -3,8 +3,8 @@
 Two layers of coverage:
 
 * **Tier-1 smoke** -- always on: a handful of seeds through every
-  check, the minimizer machinery on synthetic predicates, repro-file
-  and corpus round-trips.  Fast enough for the default test run.
+  check, the minimizer machinery on synthetic predicates and repro-file
+  round-trips.  Fast enough for the default test run.
 * **Mass sweeps** -- ``@pytest.mark.fuzz``, skipped unless ``--fuzz``
   or ``REPRO_FUZZ=1``: the print->parse->print round-trip property and
   the interpreter-equivalence property over >= 500 seeded programs
@@ -22,10 +22,8 @@ from repro.benchgen.synthetic import (FUZZ_PROFILES, SyntheticConfig,
                                       generate_module_source,
                                       profile_config, verify_runs)
 from repro.fuzz import (ALL_CHECKS, Divergence, check_module, check_seed,
-                        build_corpus, divergence_predicate,
-                        load_corpus, load_regression, minimize,
+                        divergence_predicate, load_regression, minimize,
                         oracle_cross_check, run_fuzz, write_regression)
-from repro.interp import run_module
 from repro.ir.printer import format_module
 from repro.lai import parse_module
 from repro.parallel import WorkerPool, fork_available
@@ -164,34 +162,6 @@ def test_regression_file_round_trip(tmp_path):
     # the program inside replays bit-identically
     assert format_module(parse_module(loaded.source)) \
         == format_module(parse_module(source))
-
-
-def test_corpus_build_and_load(tmp_path):
-    manifest = build_corpus(tmp_path / "corpus", programs=3,
-                            n_functions=2, profile="default", seed0=10,
-                            config=SMOKE)
-    assert len(manifest["programs"]) == 3
-    programs = list(load_corpus(tmp_path / "corpus"))
-    assert len(programs) == 3
-    for name, source, verify in programs:
-        module = parse_module(source)
-        assert len(module.functions) == 2
-        for fn_name, args in verify:
-            run_module(module, fn_name, args)  # interpretable as-is
-
-
-def test_corpus_regeneration_is_stable(tmp_path):
-    first = build_corpus(tmp_path / "a", programs=2, n_functions=2,
-                         profile="default", seed0=0, config=SMOKE)
-    second = build_corpus(tmp_path / "b", programs=4, n_functions=2,
-                          profile="default", seed0=0, config=SMOKE)
-    for entry_a, entry_b in zip(first["programs"],
-                                second["programs"]):
-        with open(tmp_path / "a" / entry_a["file"]) as handle:
-            text_a = handle.read()
-        with open(tmp_path / "b" / entry_b["file"]) as handle:
-            text_b = handle.read()
-        assert text_a == text_b  # growing the corpus never rewrites
 
 
 # ----------------------------------------------------------------------

@@ -189,7 +189,7 @@ def golden_inputs() -> list:
         for label, experiment, options in runs:
             result = pipeline.run_experiment(
                 suite.module, experiment, options=options, jobs=1,
-                cache=None, validate=False)
+                cache=None)
             inputs.append((f"output/{suite.name}/{label}", suite.name,
                            format_module(result.module)))
     return inputs

@@ -302,12 +302,16 @@ endfunc
         # A Python-level failure inside a worker (here: an unknown
         # phase) must raise exactly as it would serially, not silently
         # degrade.
-        from repro.parallel import run_phases_parallel
+        from repro.machine.st120 import ST120
+        from repro.observability import NULL_TRACER
+        from repro.parallel import Job, run_phases_parallel
 
         module = module_of(TWO_FUNCTIONS)
+        (outcome,) = run_phases_parallel(
+            [Job(module, "broken", ("ssa", "warp-drive"))], None,
+            [NULL_TRACER], 2, None, None, ST120)
         with pytest.raises(ValueError, match="unknown phase"):
-            run_phases_parallel(module, "broken",
-                                ("ssa", "warp-drive"), jobs=2)
+            raise outcome
 
 
 def _exit_first_time(marker: str) -> int:

@@ -4,10 +4,15 @@ import pytest
 
 from repro import compile_module
 from repro.ir import validate_function
+from repro.ir.printer import format_module
 from repro.lai import parse_module
+from repro.observability import Tracer
+from repro.observability.statdiff import stats_digest
+from repro.parallel import Job, fork_available
 from repro.pipeline import (EXPERIMENTS, TABLE_EXPERIMENTS, PhaseOptions,
-                            ensure_ssa, run_experiment, run_phases,
-                            run_table, run_table5, table5_variants)
+                            ensure_ssa, run_experiment, run_jobs,
+                            run_phases, run_table, run_table5,
+                            table5_variants)
 
 from helpers import module_of
 
@@ -31,6 +36,62 @@ endfunc
 """
 
 VERIFY = [("main", [6]), ("main", [0])]
+
+
+PAIR = """
+func twice
+entry:
+    input a
+    add b, a, a
+    ret b
+endfunc
+func pick
+entry:
+    input a
+    cbr a, l, r
+l:
+    add x, a, 2
+    br j
+r:
+    sub x, a, 3
+    br j
+j:
+    ret x
+endfunc
+"""
+
+
+class TestRunJobs:
+    """The one driver every batch of compiles goes through."""
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(
+        2, marks=pytest.mark.skipif(not fork_available(),
+                                    reason="platform lacks fork"))])
+    def test_mixed_batch_matches_each_jobs_own_run(self, jobs):
+        # Two modules, three experiments and, in the middle, one job
+        # with an unknown phase: every other slot equals that job's own
+        # run_experiment, and the jobs after the bad one still run.
+        loop, pair = module_of(SIMPLE, "loop"), module_of(PAIR, "pair")
+        pess = table5_variants()["pess"]
+        good = [(loop, "Lphi,ABI+C", None), (pair, "C", None),
+                (pair, "Sphi+C", None), (loop, "Lphi,ABI+C", pess),
+                (pair, "Lphi,ABI+C", None)]
+        batch = [Job(module, name, EXPERIMENTS[name], options)
+                 for module, name, options in good]
+        batch.insert(2, Job(pair, "broken", ("ssa", "warp-drive")))
+        results = run_jobs(batch, tracer=Tracer, jobs=jobs)
+        assert len(results) == len(batch)
+        bad = results.pop(2)
+        assert isinstance(bad, ValueError)
+        assert "unknown phase" in str(bad)
+        for (module, name, options), result in zip(good, results):
+            own = run_experiment(module, name, options=options,
+                                 tracer=Tracer(), jobs=1)
+            assert format_module(result.module) == \
+                format_module(own.module)
+            assert stats_digest(result.to_stats()) == \
+                stats_digest(own.to_stats())
+        assert bool(results[0].parallel) == (jobs > 1)
 
 
 class TestMatrix:

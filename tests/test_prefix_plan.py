@@ -208,16 +208,15 @@ class TestBinding:
         return module, verify, plan
 
     @pytest.mark.parametrize("change", [
-        "module", "verify", "target", "validate", "tracer"])
+        "module", "verify", "target", "tracer"])
     def test_mismatched_binding_raises(self, bound, change):
         module, verify, plan = bound
         kwargs = dict(module=module, verify=verify, target=ST120,
-                      validate=True, tracer=None)
+                      tracer=None)
         kwargs[change] = {
             "module": module.copy(),
             "verify": verify[:-1],
             "target": dataclasses.replace(ST120, name="other"),
-            "validate": False,
             "tracer": Tracer(),
         }[change]
         module = kwargs.pop("module")
