@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser(
         "serve", help="warm compile service: persistent worker pool, "
-                      "request batching, response memo "
+                      "one worker per request, response memo "
                       "(see docs/serving.md)")
     serve_p.add_argument("--socket", required=True, metavar="PATH",
                          help="unix socket to listen on (NDJSON "

@@ -2,17 +2,17 @@
 
 Every phase of every experiment processes functions independently (the
 same per-function independence the paper's Tables 2-5 rely on), so any
-set of compile *jobs* -- one experiment, every experiment of a table,
-a batch of ``repro serve`` requests -- splits into ``(job, function)``
-units.  :func:`run_units` places every unit with one deterministic
-greedy-LPT partition (:func:`partition`), runs each shard through one
+set of compile *jobs* -- one experiment, every experiment of a table
+-- splits into ``(job, function)`` units.  :func:`run_units` places
+every unit with one deterministic greedy-LPT partition
+(:func:`partition`), runs each shard through one
 worker task (:func:`_compile_units`) on a :class:`WorkerPool`, and
 returns each job's payloads -- or the exception the job raised -- in
 shard order.  :func:`merge_job` folds one job's payloads back into an
 :class:`~repro.pipeline.ExperimentResult`.  Both are called by
 :func:`run_phases_parallel` alone: the pool half of
 :func:`repro.pipeline.run_jobs`, the driver every batch of compiles
-(one experiment, a table, a ``repro serve`` batch) goes through.
+(one experiment, a table, a ``repro serve`` request) goes through.
 
 The merge is the actual contract of this module: paper-metric output
 must be **byte-identical at any job count**.  A worker payload is a
@@ -37,7 +37,9 @@ harness): ``None`` reads ``$REPRO_JOBS`` (default 1), ``0`` means all
 cores, ``1`` is serial, ``N>1`` uses at most N workers.  ``pool=`` (a
 :class:`WorkerPool`) reuses the caller's pool; with only ``jobs=N`` a
 pool is opened for that one call.  Callers that loop (``repro tables``,
-a fuzz sweep, ``repro serve``) hold one pool across their calls.
+a fuzz sweep, ``repro serve``) hold one pool across their calls;
+``repro serve`` and the fuzz sweep submit whole tasks to it
+(:meth:`WorkerPool.submit`) instead of sharding through the engine.
 
 :func:`run_units` returns ``None`` -- and ``run_jobs`` runs its serial
 path -- when the worker count resolves to 1, when there is at most one
@@ -210,10 +212,11 @@ class WorkerPool:
 
     Workers fork lazily on the first submission (or :meth:`warm`) and
     survive across calls, so the fork cost is paid once per pool.
-    ``repro serve`` holds one for its whole lifetime; batch callers
-    pass one to ``run_experiment``/``run_table``/``run_experiments``
-    via ``pool=``; a fuzz sweep also hands it single check tasks
-    through :meth:`submit`.  Tasks carry their own state in a pickled
+    ``repro serve`` holds one for its whole lifetime and hands it one
+    whole-request task per compile through :meth:`submit`; batch
+    callers pass one to ``run_experiment``/``run_table``/
+    ``run_experiments`` via ``pool=``; a fuzz sweep also hands it
+    single check tasks through :meth:`submit`.  Tasks carry their own state in a pickled
     spec.  A dead worker (``BrokenProcessPool``) is handled by discarding the
     executor, respawning a fresh one and retrying the submission once;
     compile tasks are pure, so the retry is safe.  :meth:`run` returns

@@ -8,13 +8,11 @@ keeps all of that hot in a long-running process:
   contract of the unix socket, plus the request fingerprint (built
   from the :mod:`repro.cache.key` fingerprints) behind
   identical-request dedup and the response memo;
-* :mod:`.batcher` -- coalesces queued requests into one call of the
-  parallel engine on the persistent
-  :class:`repro.parallel.WorkerPool` (deterministic LPT over every
-  request's functions) and merges the results back per request,
-  byte-identical to the serial CLI path;
-* :mod:`.server` -- the asyncio unix-socket server, with lifetime
-  totals behind its ``stats``/``metrics`` ops and a graceful drain on
+* :mod:`.server` -- the asyncio unix-socket server: each request that
+  compiles is one task (:func:`.server.compile_request`) sent whole to
+  a worker of the persistent :class:`repro.parallel.WorkerPool` as it
+  arrives, byte-identical to the serial CLI path; lifetime totals
+  behind its ``stats``/``metrics`` ops and a graceful drain on
   SIGTERM/SIGINT;
 * :mod:`.client` -- a small blocking client for tests, benchmarks and
   scripting.

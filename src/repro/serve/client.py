@@ -2,8 +2,9 @@
 
 One :class:`ServeClient` holds one connection and speaks NDJSON
 (:mod:`.protocol`): requests on a connection are answered in order, so
-a client instance is safe for one thread; concurrency (and therefore
-server-side batching) comes from one client per thread.
+a client instance is safe for one thread; concurrency (requests
+compiling at the same time on the server's workers) comes from one
+client per thread.
 """
 
 from __future__ import annotations

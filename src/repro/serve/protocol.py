@@ -3,7 +3,7 @@
 The server speaks newline-delimited JSON (NDJSON) over a unix socket:
 one request object per line in, one response object per line out,
 processed in order per connection.  Concurrency comes from concurrent
-connections, which is exactly what lets the server batch.
+connections: the server compiles their requests at the same time.
 
 Requests are ``{"op": ..., ...}``:
 
@@ -30,7 +30,7 @@ with the raw LAI source bytes.  The source text *is* the entire
 function-level input of a request, so hashing it is equivalent to
 hashing every function fingerprint -- and it lets the server recognize
 a repeat request without parsing the module at all (parsing happens in
-the batch worker, off the event loop, only on memo misses).
+the compile task, off the event loop, only on memo misses).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from ..machine.st120 import ST120
 from ..pipeline import EXPERIMENTS, PhaseOptions, table5_variants
 
 #: Version tag carried by ``stats`` and ``ping`` responses.
-SERVE_SCHEMA = "repro.serve/v2"
+SERVE_SCHEMA = "repro.serve/v3"
 
 #: Maximum request line (bytes) the server accepts -- generous
 #: headroom over the largest generated suite (~100 KiB of LAI text).
@@ -101,7 +101,7 @@ class CompileRequest:
 
     The module is parsed lazily (:meth:`ensure_module`) so the server
     can answer memo/dedup hits from the fingerprint alone and parsing
-    runs in the batch worker, not on the event loop.
+    runs in the compile task, not on the event loop.
     """
 
     source: str

@@ -6,24 +6,26 @@ time: the imported compiler, a persistent
 on ``BrokenProcessPool``), one process-lifetime
 :class:`~repro.cache.CompilationCache` (a private temporary directory
 unless ``--cache-dir`` pins it).  Requests arrive over a unix socket
-(NDJSON, see :mod:`.protocol`); every request queued while one batch
-compiles is coalesced into the next call of the parallel engine
-(:mod:`.batcher`), and identical requests collapse via the cache-key
-fingerprint twice over: concurrent ones ride the same in-flight
-future, repeats hit a bounded response memo and skip compilation (and
-parsing) entirely -- compilation is deterministic, so byte-identical
-input through an identical pipeline owns its response bytes.
+(NDJSON, see :mod:`.protocol`).  Each request that compiles is one
+task, :func:`compile_request`, sent whole to a pool worker as soon as
+it arrives, so concurrent connections compile at the same time; without
+a pool the same task runs on a one-thread executor.  Identical requests
+collapse via the cache-key fingerprint twice over: concurrent ones ride
+the same in-flight task, repeats hit a bounded response memo and skip
+compilation (and parsing) entirely -- compilation is deterministic, so
+byte-identical input through an identical pipeline owns its response
+bytes.
 
-``stats`` reports queue depth, pool health and the server's lifetime
-totals (:attr:`CompileServer.totals`); ``metrics`` renders the same
-totals as Prometheus counter lines.  SIGTERM/SIGINT (or the
-``shutdown`` op) drains in-flight requests, closes the pool and exits.
+``stats`` reports pool health and the server's lifetime totals
+(:attr:`CompileServer.totals`); ``metrics`` renders the same totals as
+Prometheus counter lines.  SIGTERM/SIGINT (or the ``shutdown`` op)
+drains in-flight requests, closes the pool and exits.
 
 Concurrency discipline: the event loop owns the totals and all
-bookkeeping; the single-threaded batch executor only runs
-:func:`~repro.serve.batcher.run_batch`; pool workers are separate
-processes.  The pool is warmed *before* any server thread starts, so
-the fork never races thread state.
+bookkeeping (JSON, fingerprints, memo); compiling happens only in
+:func:`compile_request`, on a pool worker or the one-thread executor.
+The pool is warmed *before* any server thread starts, so the fork never
+races thread state.
 """
 
 from __future__ import annotations
@@ -39,21 +41,53 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
 from ..cache import resolve_cache
-from ..parallel import WorkerPool, fork_available, resolve_jobs
-from .batcher import ServeJob, run_batch
+from ..ir.printer import format_module
+from ..observability.statdiff import stats_digest
+from ..parallel import Job, WorkerPool, fork_available, resolve_jobs
+from ..pipeline import run_jobs
 from .protocol import (MAX_REQUEST_BYTES, SERVE_SCHEMA, ProtocolError,
                        decode_request, encode_response, error_response,
                        parse_compile)
 
-#: Queue sentinel: everything before it drains, then the batch loop
-#: exits.
-_STOP = None
-
 #: Entries of the response memo (least recently used evicted first).
 MEMO_SIZE = 256
+
+
+def compile_request(request, cache) -> dict:
+    """Parse and compile one :class:`~.protocol.CompileRequest` serially
+    and return its finished response: ``{"ok": false}`` for a parse or
+    compile error, never an exception.
+
+    The server's one compile task, run on a pool worker or its
+    one-thread executor.  ``stats_digest`` hashes the stats document's
+    ``result`` block, which is exactly what an untraced one-shot
+    ``repro compile`` produces for this request (cache traffic lives in
+    ``env``, which the digest never reads), so responses are
+    byte-identical to the CLI.
+    """
+    try:
+        module = request.ensure_module()
+    except ProtocolError as error:
+        return error_response(error)
+    [result] = run_jobs([Job(module, request.experiment, request.phases,
+                             request.options)], jobs=1, cache=cache)
+    if isinstance(result, Exception):
+        return error_response(f"{type(result).__name__}: {result}")
+    return {
+        "ok": True,
+        "experiment": result.name,
+        "module": format_module(result.module),
+        "moves": result.moves,
+        "weighted": result.weighted,
+        "instructions": result.instructions,
+        "stats_digest": stats_digest(result.to_stats()),
+        "analysis_cache": dict(result.analysis_cache),
+        "cache": dict(result.cache),
+    }
 
 
 class CompileServer:
@@ -81,24 +115,25 @@ class CompileServer:
         #: Lifetime totals: request counts, summed request wall time and
         #: the summed ``cache.*``/``analysis.*`` traffic of every
         #: compiled response (keys added as they first appear).
+        #: ``batches`` and ``batched_requests`` both count compile
+        #: dispatches (one request each); perfbench reads their ratio.
         self.totals: dict[str, float] = {
             "requests": 0, "errors": 0, "dedup_hits": 0, "memo_hits": 0,
             "batches": 0, "batched_requests": 0, "request_seconds": 0.0}
         self.started = time.time()
         self.worker_pids: list[int] = []
-        self._rid = 0
         #: Response memo: fingerprint -> finished ok-response (LRU,
         #: :data:`MEMO_SIZE` entries).  A hit answers without parsing or
         #: compiling.
         self._memo: OrderedDict[str, dict] = OrderedDict()
         self._draining = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional[asyncio.Queue] = None
         self._inflight: dict[str, asyncio.Future] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self._batch_task: Optional[asyncio.Task] = None
+        #: Runs :func:`compile_request` when there is no pool, or when
+        #: a respawned pool broke too.
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-batch")
+            max_workers=1, thread_name_prefix="repro-serve-compile")
         self._stopped: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
@@ -107,7 +142,6 @@ class CompileServer:
     async def start(self) -> None:
         """Warm the pool and open the socket."""
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
         self._stopped = asyncio.Event()
         if self.pool is not None:
             # Fork the workers before any request thread exists.
@@ -117,7 +151,6 @@ class CompileServer:
         self._server = await asyncio.start_unix_server(
             self._handle_socket, path=self.socket_path,
             limit=MAX_REQUEST_BYTES)
-        self._batch_task = asyncio.ensure_future(self._batch_loop())
 
     async def run(self) -> None:
         """CLI entry: serve until SIGTERM/SIGINT or a ``shutdown`` op."""
@@ -132,17 +165,14 @@ class CompileServer:
         await self._stopped.wait()
 
     async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish every queued and
-        in-flight request, close the pool, remove the socket and the
-        private cache directory."""
+        """Graceful drain: stop accepting, finish every in-flight
+        request, close the pool, remove the socket and the private cache
+        directory."""
         if self._draining:
             return
         self._draining = True
         self._server.close()
         await self._server.wait_closed()
-        await self._queue.put(_STOP)
-        if self._batch_task is not None:
-            await self._batch_task
         if self._inflight:
             await asyncio.gather(*list(self._inflight.values()),
                                  return_exceptions=True)
@@ -209,14 +239,11 @@ class CompileServer:
             response = dict(await asyncio.shield(existing))
             response["deduped"] = True
         else:
-            future = self._loop.create_future()
-            self._inflight[fingerprint] = future
-            future.add_done_callback(
+            task = asyncio.ensure_future(self._dispatch(request))
+            self._inflight[fingerprint] = task
+            task.add_done_callback(
                 lambda _: self._inflight.pop(fingerprint, None))
-            self._rid += 1
-            job = ServeJob(rid=self._rid, request=request, future=future)
-            self._queue.put_nowait(job)
-            response = dict(await asyncio.shield(future))
+            response = dict(await asyncio.shield(task))
         if not response.get("ok"):
             self.totals["errors"] += 1
         return self._answered(response, start)
@@ -230,55 +257,49 @@ class CompileServer:
         return response
 
     # ------------------------------------------------------------------
-    # The batch loop: one batch at a time, everything queued while the
-    # previous batch compiled coalesces into the next one.
+    # Dispatch: each request is one task, started as soon as it arrives
     # ------------------------------------------------------------------
-    async def _batch_loop(self) -> None:
-        while True:
-            job = await self._queue.get()
-            stop = job is _STOP
-            batch = [] if stop else [job]
-            while True:  # take whatever else is queued, without waiting
-                try:
-                    extra = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is _STOP:
-                    stop = True
-                else:
-                    batch.append(extra)
-            if batch:
-                await self._run_one_batch(batch)
-            if stop:
-                return
-
-    async def _run_one_batch(self, batch: list) -> None:
+    async def _dispatch(self, request) -> dict:
+        """Compile *request* (:meth:`_run`), then count its traffic and
+        memoize a success."""
         try:
-            await self._loop.run_in_executor(
-                self._executor,
-                functools.partial(run_batch, batch, pool=self.pool,
-                                  cache=self.cache))
-        except Exception as error:  # noqa: BLE001 -- batch must answer
-            for job in batch:
-                if job.response is None:
-                    job.response = error_response(
-                        f"{type(error).__name__}: {error}")
+            response = await self._run(request)
+        except Exception as error:  # noqa: BLE001 -- request must answer
+            response = error_response(f"{type(error).__name__}: {error}")
         self.totals["batches"] += 1
-        self.totals["batched_requests"] += len(batch)
-        for job in batch:
-            response = job.response if job.response is not None \
-                else error_response("batch produced no response")
-            for block, prefix in (("cache", "cache."),
-                                  ("analysis_cache", "analysis.")):
-                for key, value in (response.get(block) or {}).items():
-                    self.totals[prefix + key] = \
-                        self.totals.get(prefix + key, 0) + value
-            if response.get("ok"):
-                self._memo[job.request.fingerprint] = response
-                while len(self._memo) > MEMO_SIZE:
-                    self._memo.popitem(last=False)
-            if not job.future.done():
-                job.future.set_result(response)
+        self.totals["batched_requests"] += 1
+        for block, prefix in (("cache", "cache."),
+                              ("analysis_cache", "analysis.")):
+            for key, value in (response.get(block) or {}).items():
+                self.totals[prefix + key] = \
+                    self.totals.get(prefix + key, 0) + value
+        if response.get("ok"):
+            self._memo[request.fingerprint] = response
+            while len(self._memo) > MEMO_SIZE:
+                self._memo.popitem(last=False)
+        return response
+
+    async def _run(self, request) -> dict:
+        """Run :func:`compile_request` on a pool worker.  A worker that
+        dies under it (``BrokenProcessPool``) respawns the pool -- once
+        per broken executor, however many requests it took down -- and
+        the request is resubmitted once; if that fails too, or there is
+        no pool, the task runs on the one-thread executor."""
+        if self.pool is not None:
+            for _ in range(2):
+                future = self.pool.submit(compile_request, request,
+                                          self.cache)
+                if future is None:
+                    break
+                generation = self.pool.respawns
+                try:
+                    return await asyncio.wrap_future(future)
+                except BrokenProcessPool:
+                    if self.pool.respawns == generation:
+                        self.pool.respawn()
+        return await self._loop.run_in_executor(
+            self._executor,
+            functools.partial(compile_request, request, self.cache))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -291,7 +312,6 @@ class CompileServer:
             "uptime_s": round(time.time() - self.started, 3),
             "jobs": self.jobs,
             "draining": self._draining,
-            "queue_depth": self._queue.qsize() if self._queue else 0,
             "inflight": len(self._inflight),
             "pool": {"workers": self.pool.workers,
                      "alive": self.pool.alive,

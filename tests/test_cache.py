@@ -237,7 +237,9 @@ class TestEviction:
         assert total > 0
         cap = total // 2
         capped = CompilationCache(str(tmp_path / "b"), max_bytes=cap)
-        run_experiment(module, "Lphi,ABI+C", cache=capped)
+        # jobs=1: the evictions are read off this handle, which forked
+        # workers (``$REPRO_JOBS`` > 1) never update.
+        run_experiment(module, "Lphi,ABI+C", cache=capped, jobs=1)
         assert capped.evictions >= 1
         assert capped.size_bytes() <= cap
 
@@ -313,9 +315,11 @@ class TestResolveCache:
 
     def test_stats_since(self, module, tmp_path):
         cache = CompilationCache(str(tmp_path / "c"))
-        run_experiment(module, "Lphi,ABI+C", cache=cache)
+        # jobs=1: the counters are read off this handle, which forked
+        # workers (``$REPRO_JOBS`` > 1) never update.
+        run_experiment(module, "Lphi,ABI+C", cache=cache, jobs=1)
         mark = cache.stats()
-        delta = run_experiment(module, "Lphi,ABI+C", cache=cache)
+        delta = run_experiment(module, "Lphi,ABI+C", cache=cache, jobs=1)
         assert delta.cache["hits"] == len(module.functions)
         assert delta.cache["stores"] == 0
         assert set(delta.cache) == set(CACHE_STATS_KEYS)

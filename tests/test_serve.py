@@ -1,15 +1,18 @@
-"""The warm compile service: protocol, batching, dedup, drain.
+"""The warm compile service: protocol, dispatch, dedup, drain.
 
 Contracts under test:
 
 * every server response is **byte-identical** to the serial CLI path
   (same ``format_module`` text, same timing-stripped stats digest) at
-  every jobs setting and through every fast path (batch, dedup, memo);
+  every jobs setting and through every fast path (dedup, memo, a
+  respawned pool);
 * concurrent requests on one cache directory keep hits+misses
   accounting exact, and cache corruption stays a recoverable miss
   under contention;
 * errors are per-request (``{"ok": false}``) and never tear down the
-  connection or the batch;
+  connection or another request;
+* with a pool, concurrent requests compile at the same time, and a
+  killed worker costs a respawn, never an answer;
 * graceful shutdown drains in-flight work and removes the socket;
 * the real ``repro serve`` process answers byte-identically to
   ``repro compile`` and exits cleanly on ``shutdown``;
@@ -18,11 +21,12 @@ Contracts under test:
 """
 
 import concurrent.futures
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 import pytest
@@ -63,41 +67,16 @@ def wait_until(condition, timeout=60.0):
         time.sleep(0.005)
 
 
-def compile_in_two_batches(server, socket_path, requests, monkeypatch):
-    """Answer *requests* (``(source, compile kwargs)`` pairs) in two
-    batches: the first request alone, then all the others together.
-
-    A gate holds the server's single batch executor inside the first
-    batch; the other requests are sent only once that batch has
-    started and the gate opens only once all of them are queued, so
-    the next batch takes every one.  Returns the responses in request
-    order and the size of each batch."""
-    gate, started, sizes = threading.Event(), threading.Event(), []
-    run_batch = server_module.run_batch
-
-    def gated_run_batch(batch, **kwargs):
-        sizes.append(len(batch))
-        started.set()
-        gate.wait(timeout=60)
-        return run_batch(batch, **kwargs)
-
-    monkeypatch.setattr(server_module, "run_batch", gated_run_batch)
-
+def compile_concurrently(socket_path, requests):
+    """Send *requests* (``(source, compile kwargs)`` pairs) at once,
+    each on its own connection; the responses in request order."""
     def one_request(request):
         source, kwargs = request
         with ServeClient(socket_path) as client:
             return client.compile(source, **kwargs)
 
     with concurrent.futures.ThreadPoolExecutor(len(requests)) as pool:
-        try:
-            futures = [pool.submit(one_request, requests[0])]
-            wait_until(started.is_set)
-            futures += [pool.submit(one_request, request)
-                        for request in requests[1:]]
-            wait_until(lambda: server._queue.qsize() == len(requests) - 1)
-        finally:
-            gate.set()
-        return [future.result() for future in futures], sizes
+        return list(pool.map(one_request, requests))
 
 
 def serial_reference(suite_name, experiment="Lphi,ABI+C", options=None):
@@ -237,43 +216,39 @@ def test_memo_disabled_and_bounded(sock_dir, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Batching
+# Dispatch: one task per request, on a pool worker as it arrives
 # ----------------------------------------------------------------------
-def test_concurrent_mixed_requests_batch_and_stay_correct(sock_dir,
-                                                          monkeypatch):
+def test_concurrent_mixed_requests_dispatch_and_stay_correct(sock_dir):
     jobs = 2 if fork_available() else 1
     socket_path, server = start_server(sock_dir, jobs=jobs)
     work = [(suite_name, experiment) for suite_name in SUITES
             for experiment in ("Lphi,ABI+C", "C", "LABI")]
     with ThreadedServer(server):
-        responses, sizes = compile_in_two_batches(
-            server, socket_path,
+        responses = compile_concurrently(
+            socket_path,
             [(suite_source(suite_name),
               {"name": suite_name, "experiment": experiment})
-             for suite_name, experiment in work], monkeypatch)
+             for suite_name, experiment in work])
     for (suite_name, experiment), response in zip(work, responses):
         assert response["ok"], response
         assert (response["module"], response["stats_digest"]) == \
             serial_reference(suite_name, experiment)
-    # Everything queued behind the first batch coalesced into one.
-    assert sizes == [1, len(work) - 1]
+    # Distinct requests: each is one dispatch of its own.
     assert (server.totals["batches"], server.totals["batched_requests"]) \
-        == (2, len(work))
+        == (len(work), len(work))
 
 
-def test_per_request_errors_do_not_poison_the_batch(sock_dir, monkeypatch):
+def test_per_request_errors_stay_per_request(sock_dir):
     socket_path, server = start_server(
         sock_dir, jobs=2 if fork_available() else 1)
     good_source = suite_source("example1-8")
     reference = serial_reference("example1-8")
     sources = [good_source, "definitely not lai"] * 3
     with ThreadedServer(server):
-        # Distinct names: no request rides another's in-flight future.
-        responses, sizes = compile_in_two_batches(
-            server, socket_path,
-            [(source, {"name": f"mixed{i}"})
-             for i, source in enumerate(sources)], monkeypatch)
-    assert sizes == [1, len(sources) - 1]
+        # Distinct names: no request rides another's in-flight task.
+        responses = compile_concurrently(
+            socket_path, [(source, {"name": f"mixed{i}"})
+                          for i, source in enumerate(sources)])
     for source, response in zip(sources, responses):
         if source is good_source:
             assert response["ok"]
@@ -282,6 +257,121 @@ def test_per_request_errors_do_not_poison_the_batch(sock_dir, monkeypatch):
         else:
             assert not response["ok"]
             assert "parse error" in response["error"]
+    assert server.totals["errors"] == 3
+
+
+def test_malformed_number_fails_only_its_request(sock_dir):
+    socket_path, server = start_server(
+        sock_dir, jobs=2 if fork_available() else 1)
+    good = "func f\nentry:\n    input a\n    add x, a, 1\n    ret x\nendfunc"
+    bad = good.replace("add x, a, 1", "add x, a, 08")
+    with ThreadedServer(server):
+        ok, failed = compile_concurrently(socket_path,
+                                          [(good, {}), (bad, {})])
+    assert ok["ok"] is True
+    del failed["wall_s"]
+    assert failed == {
+        "ok": False,
+        "error": "parse error: line 4, col 15: malformed number '08'"}
+
+
+@pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+def test_two_requests_compile_at_the_same_time(sock_dir, monkeypatch):
+    # The barrier exists before the pool forks, so both workers share
+    # it: neither compile starts until the other is running too.  A
+    # server that compiled one request at a time would break the
+    # barrier on its timeout and answer both with an error.
+    barrier = multiprocessing.get_context("fork").Barrier(2)
+    run_jobs = server_module.run_jobs
+
+    def run_jobs_together(*args, **kwargs):
+        barrier.wait(timeout=30)
+        return run_jobs(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "run_jobs", run_jobs_together)
+    socket_path, server = start_server(sock_dir, jobs=2)
+    with ThreadedServer(server):
+        responses = compile_concurrently(
+            socket_path, [(suite_source(name), {"name": name})
+                          for name in ("VALcc1", "example1-8")])
+    for name, response in zip(("VALcc1", "example1-8"), responses):
+        assert response["ok"], response
+        assert (response["module"], response["stats_digest"]) == \
+            serial_reference(name)
+
+
+# ----------------------------------------------------------------------
+# Killed workers: respawn, resubmit once, then compile in-process
+# ----------------------------------------------------------------------
+def pid_exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def compile_valcc1(socket_path):
+    """One VALcc1 compile, checked against the serial CLI path; returns
+    the server's ``stats`` afterwards."""
+    with ServeClient(socket_path) as client:
+        response = client.compile(suite_source("VALcc1"), name="VALcc1")
+        assert response["ok"], response
+        assert (response["module"], response["stats_digest"]) == \
+            serial_reference("VALcc1")
+        return client.stats()
+
+
+@pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+def test_killed_worker_respawns_the_pool(sock_dir):
+    socket_path, server = start_server(sock_dir, jobs=2)
+    with ThreadedServer(server):
+        os.kill(server.worker_pids[0], signal.SIGKILL)
+        # The executor notices the death, terminates and reaps every
+        # worker: once all are gone, the next submission must respawn.
+        wait_until(lambda: not any(map(pid_exists, server.worker_pids)))
+        stats = compile_valcc1(socket_path)
+    assert stats["pool"]["respawns"] >= 1
+
+
+@pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+def test_worker_dying_mid_request_is_resubmitted(sock_dir, tmp_path,
+                                                 monkeypatch):
+    marker = tmp_path / "died"
+    run_jobs = server_module.run_jobs
+
+    def die_once(*args, **kwargs):
+        if not marker.exists():
+            marker.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_jobs(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "run_jobs", die_once)
+    socket_path, server = start_server(sock_dir, jobs=2)
+    with ThreadedServer(server):
+        stats = compile_valcc1(socket_path)
+    assert marker.exists()
+    assert stats["pool"]["respawns"] == 1
+    assert stats["serve"]["errors"] == 0
+
+
+@pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+def test_pool_that_keeps_breaking_compiles_in_process(sock_dir,
+                                                     monkeypatch):
+    server_pid = os.getpid()
+    run_jobs = server_module.run_jobs
+
+    def die_in_workers(*args, **kwargs):
+        if os.getpid() != server_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_jobs(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "run_jobs", die_in_workers)
+    socket_path, server = start_server(sock_dir, jobs=2)
+    with ThreadedServer(server):
+        stats = compile_valcc1(socket_path)
+    assert stats["pool"]["respawns"] >= 1
+    assert stats["serve"]["errors"] == 0
 
 
 def test_connection_survives_bad_requests(sock_dir):
@@ -374,7 +464,7 @@ def test_stats_and_metrics_endpoints(sock_dir):
         with ServeClient(socket_path) as client:
             client.compile(suite_source("example1-8"), name="examples")
             stats = client.stats()
-            assert stats["ok"] and stats["schema"] == "repro.serve/v2"
+            assert stats["ok"] and stats["schema"] == "repro.serve/v3"
             assert stats["serve"]["requests"] == 1
             assert stats["jobs"] == 1 and stats["pool"] is None
             exposition = client.metrics_text()
@@ -471,20 +561,6 @@ def test_private_cache_tempdir_removed_on_shutdown(sock_dir):
     finally:
         handle.stop()
     assert not os.path.exists(tempdir)
-
-
-def test_batch_isolates_a_malformed_number():
-    from repro.serve.batcher import ServeJob, run_batch
-
-    good = "func f\nentry:\n    input a\n    add x, a, 1\n    ret x\nendfunc"
-    bad = good.replace("add x, a, 1", "add x, a, 08")
-    jobs = [ServeJob(1, parse_compile({"source": good})),
-            ServeJob(2, parse_compile({"source": bad}))]
-    run_batch(jobs)
-    assert jobs[0].response["ok"] is True
-    assert jobs[1].response == {
-        "ok": False,
-        "error": "parse error: line 4, col 15: malformed number '08'"}
 
 
 # ----------------------------------------------------------------------
