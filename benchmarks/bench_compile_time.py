@@ -11,9 +11,9 @@ pytest-benchmark's real clock.
 ``ours``      SSA -> pins -> pinningφ -> reconstruction -> cleanup
 ``naive+C``   SSA -> reconstruction -> naiveABI -> cleanup
 
-All workloads honour ``--jobs N`` (see :mod:`repro.parallel`): the
-pipeline shards functions across a fork pool and merges results
-deterministically, so the *timings* change with the job count but the
+All workloads honour ``--jobs N`` (see :mod:`repro.parallel`): each
+compile runs whole on a fork-pool worker and comes back unchanged, so
+the *timings* change with the job count but the
 stats document written by ``test_stats_snapshot`` must not -- the CI
 bench-smoke job runs this file once serially and once with ``--jobs 2``
 and diffs the snapshots with ``benchmarks/diff_stats.py``.

@@ -7,7 +7,7 @@ default 1000, the nightly fuzz job runs 10000 -- through the paper's
 full constrained pipeline three ways:
 
 * serially,
-* sharded across ``--jobs`` workers (:mod:`repro.parallel`),
+* as one plan on a ``--jobs`` worker pool (:mod:`repro.parallel`),
 * against a fully warm persistent cache (:mod:`repro.cache`),
 
 and gates the determinism contract at that scale: all three outputs
@@ -67,7 +67,7 @@ def test_throughput_serial(benchmark, corpus_module):
 
 def test_throughput_jobs(benchmark, corpus_module, jobs):
     if jobs <= 1:
-        pytest.skip("pass --jobs N>1 to measure the sharded path")
+        pytest.skip("pass --jobs N>1 to measure the pool path")
     benchmark.pedantic(run_experiment,
                        args=(corpus_module, EXPERIMENT),
                        kwargs={"jobs": jobs},
@@ -97,7 +97,7 @@ def test_outputs_identical(corpus_module, warm_cache_dir, jobs):
     assert warm.moves == serial.moves
 
     if fork_available():
-        sharded = run_experiment(corpus_module, EXPERIMENT,
-                                 jobs=jobs if jobs > 1 else 2)
-        assert format_module(sharded.module) == reference
-        assert sharded.moves == serial.moves
+        pooled = run_experiment(corpus_module, EXPERIMENT,
+                                jobs=jobs if jobs > 1 else 2)
+        assert format_module(pooled.module) == reference
+        assert pooled.moves == serial.moves

@@ -162,29 +162,26 @@ def cmd_experiments(args) -> int:
 
 def cmd_tables(args) -> int:
     from .benchgen import all_suites
-    from .parallel import shared_pool
-    from .pipeline import TABLE_EXPERIMENTS
+    from .parallel import Job
+    from .pipeline import TABLE_EXPERIMENTS, run_jobs
 
     suites = all_suites()
     names = [name for experiments in TABLE_EXPERIMENTS.values()
              for name in experiments]
-    #: suite -> experiment -> (table cell, stats document or None).
+    keys = [(suite.name, name) for suite in suites for name in names]
+    # One batch: each suite's experiments are one plan, sharing their
+    # phase prefixes, and with --jobs N each plan runs whole on a worker.
+    results = run_jobs([Job(suite.module, name, EXPERIMENTS[name])
+                        for suite in suites for name in names],
+                       tracer=Tracer if args.stats_json else None,
+                       jobs=args.jobs, cache=args.cache_dir)
+    #: (suite, experiment) -> (table cell, stats document or None).
     cells: dict = {}
-    with shared_pool(args.jobs) as pool:
-        # One call per suite: serially, its experiments share their
-        # phase prefixes through one plan; with a pool, all their units
-        # are one batch.
-        for suite in suites:
-            results = run_experiments(
-                suite.module, names,
-                tracer=Tracer if args.stats_json else None,
-                jobs=args.jobs, cache=args.cache_dir, pool=pool)
-            cells[suite.name] = {
-                result.name: (result.weighted if args.weighted
-                              else result.moves,
-                              result.to_stats() if args.stats_json
-                              else None)
-                for result in results}
+    for key, result in zip(keys, results):
+        if isinstance(result, Exception):
+            raise result
+        cells[key] = (result.weighted if args.weighted else result.moves,
+                      result.to_stats() if args.stats_json else None)
     runs = []
     for table, experiments in TABLE_EXPERIMENTS.items():
         print(f"--- {table} ---")
@@ -192,7 +189,7 @@ def cmd_tables(args) -> int:
         for suite in suites:
             row = suite.name.ljust(13)
             for name in experiments:
-                value, document = cells[suite.name][name]
+                value, document = cells[suite.name, name]
                 row += str(value).rjust(14)
                 if document is not None:
                     runs.append({**document, "table": table,

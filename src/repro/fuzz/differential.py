@@ -24,7 +24,8 @@ this program?" -- from a different angle:
     ``tests/test_dominterf_cross_check.py`` reference, inlined here so
     the fuzzer can run it on arbitrary generated programs).
 ``parallel``
-    ``--jobs N`` output is byte-identical to the serial run.
+    the anchor composition, compiled as a one-job plan on a pool worker
+    and pickled back whole, is byte-identical to the serial run.
 ``cache``
     cache-cold and cache-warm outputs are byte-identical to the
     uncached run, and the warm run hits for every function.
@@ -467,10 +468,10 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
 
         if fork_available():
             try:
-                sharded = run_experiment(module, ANCHOR_COMPOSITION,
+                pooled = run_experiment(module, ANCHOR_COMPOSITION,
                                          verify=verify, jobs=jobs,
                                          pool=pool)
-                if format_module(sharded.module) != anchor:
+                if format_module(pooled.module) != anchor:
                     report(Divergence(
                         "parallel", ANCHOR_COMPOSITION, "mismatch",
                         f"--jobs {jobs} output differs from serial",

@@ -60,10 +60,8 @@ CACHE_BLOCK_KEYS = ("hits", "misses", "stores", "evictions", "bytes")
 #: code-cache traffic (see :mod:`repro.interp.compiled`).
 INTERP_CODE_CACHE_KEYS = ("hits", "misses", "compile_ns")
 
-#: The required integer fields of the optional ``env.parallel`` block
-#: and of each of its ``shards[]`` entries.
-PARALLEL_KEYS = ("jobs", "workers", "merge_ns")
-SHARD_KEYS = ("worker", "functions", "wall_ns")
+#: The integer fields of the optional ``env.parallel`` block.
+PARALLEL_KEYS = ("jobs", "workers", "pool_ns", "merge_ns")
 
 #: The integer fields of every ``env.phases[]`` timing entry.
 TIMING_FIELDS = ("seq", "start_ns", "duration_ns")
@@ -178,18 +176,11 @@ def validate_stats(doc: Any, where: str = "$") -> None:
             == [entry["phase"] for entry in phases], e_where,
             "'phases' must time exactly the phases of result.phases")
     if "parallel" in env:  # only when the run went through a pool
-        _validate_parallel(env["parallel"], f"{e_where}.parallel")
+        _validate_measures(env["parallel"], PARALLEL_KEYS,
+                           f"{e_where}.parallel")
     if "cache" in env:  # only with a persistent cache
         _validate_measures(env["cache"], CACHE_BLOCK_KEYS,
                            f"{e_where}.cache")
-
-
-def _validate_parallel(block: Any, where: str) -> None:
-    _validate_measures(block, PARALLEL_KEYS, where)
-    _expect(isinstance(block.get("mode"), str), where,
-            "'mode' must be a string")
-    for i, shard in enumerate(_expect_list(block, "shards", where)):
-        _validate_measures(shard, SHARD_KEYS, f"{where}.shards[{i}]")
 
 
 def validate_stats_file(path: str) -> dict:

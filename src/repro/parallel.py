@@ -1,51 +1,36 @@
-"""Parallel compilation engine: ``(job, function)`` units on one pool.
+"""Parallel compilation: each module's plan runs whole on a pool worker.
 
-Every phase of every experiment processes functions independently (the
-same per-function independence the paper's Tables 2-5 rely on), so any
-set of compile *jobs* -- one experiment, every experiment of a table
--- splits into ``(job, function)`` units.  :func:`run_units` places
-every unit with one deterministic greedy-LPT partition
-(:func:`partition`), runs each shard through one
-worker task (:func:`_compile_units`) on a :class:`WorkerPool`, and
-returns each job's payloads -- or the exception the job raised -- in
-shard order.  :func:`merge_job` folds one job's payloads back into an
-:class:`~repro.pipeline.ExperimentResult`.  Both are called by
-:func:`run_phases_parallel` alone: the pool half of
-:func:`repro.pipeline.run_jobs`, the driver every batch of compiles
-(one experiment, a table, a ``repro serve`` request) goes through.
-
-The merge is the actual contract of this module: paper-metric output
-must be **byte-identical at any job count**.  A worker payload is a
-*part* -- the shape :func:`repro.pipeline.fold` assembles every result
-from, whether serial, cache hit or worker -- so :func:`merge_job` only
-adds what is parallel-specific:
-
-* worker span/event records are grafted into the parent tracer in
-  shard-index order with renumbered ``seq``/rebased timestamps, so a
-  ``--trace`` of a parallel run is one coherent Chrome trace;
-* the ``analysis_cache`` and ``cache`` blocks are summed per key;
-* the fold then lists functions in the *input module's* order,
-  re-sequences ``phase_stats`` and ``phases[]`` the same way (a merged
-  phase's ``seq`` is its index) and adds each worker's counters to the
-  parent tracer, and :func:`repro.pipeline.verified_run` replays
-  ``verify=`` in the parent, against the input and the merged module,
-  exactly as the serial run does.
+The paper's Tables 2-5 are sums of independent per-module compiles, so
+the unit of parallel work is a *plan*: the jobs of one batch that
+compile the same module (:func:`repro.pipeline.plans`), in batch order,
+sharing one :class:`~repro.pipeline.PrefixPlan` when uncached.
+:func:`run_phases_parallel`, the pool half of
+:func:`repro.pipeline.run_jobs` (the driver every batch of compiles
+goes through), sends every plan as one task, :func:`_compile_plan`, to
+a :class:`WorkerPool`, largest module (by instruction count) first.
+The task runs :func:`repro.pipeline.run_plan` -- the code the caller
+runs without a pool, ``verified_run`` frame included, so
+``verify:before``/``verify:after`` replay where the plan runs -- and
+pickles back each job's whole :class:`~repro.pipeline.ExperimentResult`
+or the exception it raised.  Output is therefore **byte-identical at
+any job count**; the parent only grafts each worker tracer's spans,
+events and counters onto the caller's tracer (:func:`_graft_tracer`)
+and returns the results in batch order.
 
 ``jobs`` semantics everywhere (``run_jobs``, ``run_experiment``,
 ``run_table``, ``run_table5``, the CLI ``--jobs`` and the benchmark
 harness): ``None`` reads ``$REPRO_JOBS`` (default 1), ``0`` means all
 cores, ``1`` is serial, ``N>1`` uses at most N workers.  ``pool=`` (a
 :class:`WorkerPool`) reuses the caller's pool; with only ``jobs=N`` a
-pool is opened for that one call.  Callers that loop (``repro tables``,
-a fuzz sweep, ``repro serve``) hold one pool across their calls;
-``repro serve`` and the fuzz sweep submit whole tasks to it
-(:meth:`WorkerPool.submit`) instead of sharding through the engine.
+pool is opened for that one call.  ``repro serve`` and the fuzz sweep
+hold one pool and submit whole tasks to it (:meth:`WorkerPool.submit`).
 
-:func:`run_units` returns ``None`` -- and ``run_jobs`` runs its serial
-path -- when the worker count resolves to 1, when there is at most one
-unit, when the platform lacks the ``fork`` start method, or when the
-pool broke even after a respawn.  Worker *exceptions* are not
-swallowed: each comes back as its job's outcome.
+:func:`run_phases_parallel` returns ``None`` -- and ``run_jobs`` runs
+the plans in the caller -- when the worker count resolves to 1, when
+the platform lacks the ``fork`` start method, when a module carries
+externals (arbitrary Python callables, which do not travel to a
+worker), or when the pool broke even after a respawn.  Job exceptions
+are not swallowed: each comes back as its job's outcome.
 """
 
 from __future__ import annotations
@@ -60,11 +45,9 @@ from concurrent.futures.process import (BrokenProcessPool,
 from typing import NamedTuple, Optional, Sequence
 
 from .ir.function import Module
-from .machine.st120 import ST120
 from .machine.target import Target
 from .metrics import count_instructions
 from .observability import NULL_TRACER, Tracer
-from .observability import resolve as resolve_tracer
 
 
 # ----------------------------------------------------------------------
@@ -94,39 +77,8 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def partition(units: Sequence[tuple[int, object]],
-              workers: int) -> list[list[object]]:
-    """Deterministic greedy-LPT partition of ``(weight, key)`` units
-    into at most *workers* shards.
-
-    Units are taken heaviest first (input order as tie-break) and each
-    goes to the least loaded shard (lowest index on ties) -- load
-    balance without any dependence on hashing or arrival order.  Empty
-    shards are dropped.
-    """
-    ordered = sorted(range(len(units)), key=lambda i: (-units[i][0], i))
-    shards: list[list[object]] = [[] for _ in range(max(1, workers))]
-    loads = [0] * len(shards)
-    for i in ordered:
-        weight, key = units[i]
-        target = min(range(len(shards)), key=lambda j: (loads[j], j))
-        shards[target].append(key)
-        loads[target] += weight
-    return [shard for shard in shards if shard]
-
-
-def shard_module(module: Module, names: Sequence[str]) -> Module:
-    """A module holding just *names*' functions (externals stripped --
-    they are arbitrary callables, never pickled to a pool worker;
-    ``compile_parts`` copies, so sharing the Function objects is safe)."""
-    shard = Module(module.name)
-    for fn_name in names:
-        shard.add_function(module.functions[fn_name])
-    return shard
-
-
 class Job(NamedTuple):
-    """One compile the engine shards: *phases* applied to *module*."""
+    """One compile of a batch: *phases* applied to *module*."""
 
     module: Module
     name: str
@@ -145,62 +97,30 @@ def _pool_ping(delay: float = 0.0) -> int:
     return os.getpid()
 
 
-def _compile_units(spec) -> list:
-    """The worker task: run each job's slice of this shard through the
-    phase pipeline (:func:`repro.pipeline.compile_parts`, without the
-    ``verified_run`` frame: the parent replays ``verify=`` and counts
-    the paper metrics on the merged module).  Returns ``(job index,
-    payload or exception)`` pairs; one job's failure never touches its
-    shard-mates (or trips the pool's respawn logic).
+def _compile_plan(spec) -> tuple[list, list]:
+    """The worker task: run one plan through
+    :func:`repro.pipeline.run_plan` and return ``(outcomes, tracers)``
+    -- per job its :class:`~repro.pipeline.ExperimentResult` (its
+    ``tracer`` left for the parent to set) or the exception it raised,
+    and one recording tracer per slot (*slots* maps each job to one, or
+    ``None`` for the null tracer).  One job's failure never touches its
+    plan-mates, or trips the pool's respawn logic."""
+    from .pipeline import run_plan
 
-    A payload is the worker's run folded into one part of
-    :func:`repro.pipeline.fold` -- per-function ``before``/``after``
-    records, no deltas: only the parent derives those -- plus the
-    environment blocks :func:`merge_job` sums (the module's externals
-    -- arbitrary callables -- and the live tracer object stay
-    behind)."""
-    from . import pipeline as _pipeline
-    from .analysis.manager import AnalysisManager
-
-    subjobs, target, traced, cache = spec
-    out = []
-    for j, shard, phases, options in subjobs:
-        tracer = Tracer() if traced else NULL_TRACER
-        manager = AnalysisManager()
-        cache_mark = cache.stats() if cache is not None else None
-        start = time.perf_counter_ns()
-        try:
-            parts = _pipeline.compile_parts(
-                shard, phases, options or _pipeline.PhaseOptions(), target,
-                tracer, manager, cache)
-            merged, phase_stats, breakdown = \
-                _pipeline.fold(shard, parts, tracer)
-        except Exception as error:  # noqa: BLE001 -- per-job isolation
-            # Unpickles as *error* with the worker's traceback as its
-            # __cause__, exactly what a failed future would raise.
-            out.append((j, _ExceptionWithTraceback(error,
-                                                   error.__traceback__)))
-            continue
-        out.append((j, {
-            "functions": merged.functions,
-            "phase_stats": phase_stats,
-            # A worker's span seqs mean nothing in the parent: a merged
-            # phase's ``seq`` is its index.
-            "phases": [{**entry, "seq": i}
-                       for i, entry in enumerate(breakdown)],
-            "counters": tracer.counters if traced else {},
-            "analysis_cache": manager.stats(),
-            "cache": cache.stats_since(cache_mark)
-            if cache is not None else {},
-            "tracer": _tracer_payload(tracer) if traced else None,
-            "wall_ns": time.perf_counter_ns() - start,
-        }))
-    return out
-
-
-def _tracer_payload(tracer: Tracer) -> dict:
-    return {"spans": tracer.spans, "events": tracer.events,
-            "epoch_ns": tracer.epoch_ns, "seq": tracer._seq}
+    jobs, slots, recording, verify, cache, target = spec
+    recorders = [Tracer() for _ in range(recording)]
+    outcomes = run_plan(jobs, verify,
+                        [NULL_TRACER if slot is None else recorders[slot]
+                         for slot in slots], cache, target)
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            # Unpickles as the exception with the worker's traceback as
+            # its __cause__, exactly what a failed future would raise.
+            outcomes[i] = _ExceptionWithTraceback(outcome,
+                                                  outcome.__traceback__)
+        else:
+            outcome.tracer = None
+    return outcomes, recorders
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +135,9 @@ class WorkerPool:
     ``repro serve`` holds one for its whole lifetime and hands it one
     whole-request task per compile through :meth:`submit`; batch
     callers pass one to ``run_experiment``/``run_table``/
-    ``run_experiments`` via ``pool=``; a fuzz sweep also hands it
-    single check tasks through :meth:`submit`.  Tasks carry their own state in a pickled
+    ``run_experiments`` via ``pool=``, which runs one task per plan
+    through :meth:`run`; a fuzz sweep also hands it single check tasks
+    through :meth:`submit`.  Tasks carry their own state in a pickled
     spec.  A dead worker (``BrokenProcessPool``) is handled by discarding the
     executor, respawning a fresh one and retrying the submission once;
     compile tasks are pure, so the retry is safe.  :meth:`run` returns
@@ -241,6 +162,15 @@ class WorkerPool:
         """Whether an executor is currently up (it may still be broken
         -- :meth:`ping` actually exercises a worker)."""
         return self._pool is not None
+
+    @property
+    def pids(self) -> list[int]:
+        """The live workers' pids, sorted (none before the first fork,
+        nor once the executor has reaped workers after a break)."""
+        processes = self._pool._processes if self._pool is not None \
+            else None
+        return sorted(pid for pid, process in dict(processes or {}).items()
+                      if process.is_alive())
 
     def warm(self) -> list[int]:
         """Force every worker to spawn now (a brief sleep per task
@@ -328,186 +258,97 @@ def shared_pool(jobs: Optional[int]):
 
 
 # ----------------------------------------------------------------------
-# The engine
+# The pool half of run_jobs
 # ----------------------------------------------------------------------
-def run_units(batch: Sequence[Job], jobs: Optional[int] = None,
-              pool: Optional[WorkerPool] = None,
-              target: Target = ST120, traced: bool = False, cache=None):
-    """Compile every ``(job, function)`` unit of *batch* on a pool.
-
-    Units are LPT-placed by instruction count across
-    ``min(workers, units)`` shards; each shard is one
-    :func:`_compile_units` task holding, per job, a sub-module of that
-    job's functions.  *traced* gives every worker run its own tracer
-    for :func:`merge_job` to graft.
-
-    Returns ``(workers, pool_ns, outcomes)`` -- the shard count, the
-    submit-to-last-result wall time, and per job either its payloads
-    in shard order (each tagged with its ``"shard"`` index) or the
-    first exception it raised -- or ``None`` when the caller must run
-    serially (see the module docstring).
-    """
-    configured = pool.workers if pool is not None else resolve_jobs(jobs)
-    if configured <= 1 or not fork_available():
-        return None
-    units = [(count_instructions(fn), (j, fn.name))
-             for j, job in enumerate(batch)
-             for fn in job.module.iter_functions()]
-    workers = min(configured, len(units))
-    if workers <= 1:
-        return None
-
-    specs = []
-    for shard in partition(units, workers):
-        grouped: dict[int, list[str]] = {}
-        for j, fn_name in shard:
-            grouped.setdefault(j, []).append(fn_name)
-        subjobs = [(j, shard_module(batch[j].module, names),
-                    tuple(batch[j].phases), batch[j].options)
-                   for j, names in sorted(grouped.items())]
-        specs.append((subjobs, target, traced, cache))
-    start = time.perf_counter_ns()
-    if pool is not None:
-        shards = pool.run(_compile_units, specs)
-    else:
-        with WorkerPool(len(specs)) as owned:
-            shards = owned.run(_compile_units, specs)
-    if shards is None:  # even the respawned pool broke: degrade
-        return None
-    pool_ns = time.perf_counter_ns() - start
-
-    outcomes: list = [[] for _ in batch]
-    for index, shard in enumerate(shards):
-        for j, payload in shard:
-            if isinstance(outcomes[j], Exception):
-                continue  # the job already failed in an earlier shard
-            if isinstance(payload, Exception):
-                outcomes[j] = payload
-            else:
-                payload["shard"] = index
-                outcomes[j].append(payload)
-    return len(specs), pool_ns, outcomes
-
-
-# ----------------------------------------------------------------------
-# Deterministic merging
-# ----------------------------------------------------------------------
-def _graft_tracer(parent: Tracer, payload: Optional[dict],
-                  root_seq: Optional[int], depth_offset: int) -> None:
-    """Splice a worker tracer's records into *parent*.
+def _graft_tracer(parent: Tracer, worker: Tracer) -> tuple[int, int]:
+    """Splice a worker tracer's records into *parent* and add its
+    counters; returns the ``(seq, start_ns)`` offsets applied.
 
     Sequence numbers are renumbered into a fresh block of the parent's
-    counter (so seqs stay unique and worker blocks sit in shard-index
-    order); timestamps are rebased from the worker's perf-counter epoch
-    to the parent's (``CLOCK_MONOTONIC`` is system-wide under fork);
-    worker top-level spans are re-parented under *root_seq*.
+    counter (so seqs stay unique); timestamps are rebased from the
+    worker's perf-counter epoch to the parent's (``CLOCK_MONOTONIC`` is
+    system-wide under fork); worker top-level spans are re-parented
+    under the parent's open span, as a run in the caller would be.
     """
-    if payload is None:
-        return
     base = parent._seq
-    shift = payload["epoch_ns"] - parent.epoch_ns
-    for span in payload["spans"]:
+    shift = worker.epoch_ns - parent.epoch_ns
+    root = parent._stack[-1].seq if parent._stack else None
+    for span in worker.spans:
         span.seq += base
         span.parent = span.parent + base if span.parent is not None \
-            else root_seq
-        span.depth += depth_offset
+            else root
+        span.depth += len(parent._stack)
         span.start_ns += shift
         span.wall_start = parent.epoch_wall + span.start_ns / 1e9
         parent.spans.append(span)
-    for event in payload["events"]:
+    for event in worker.events:
         event.seq += base
         event.ts_ns += shift
         event.span = event.span + base if event.span is not None \
-            else root_seq
+            else root
         parent.events.append(event)
-    parent._seq = base + payload["seq"]
-
-
-def _merge_cache_stats(payloads: Sequence[dict]) -> dict:
-    """The workers' ``analysis_cache`` blocks summed key by key."""
-    totals: dict[str, int] = {}
-    for payload in payloads:
-        for key, value in payload["analysis_cache"].items():
-            totals[key] = totals.get(key, 0) + value
-    return totals
-
-
-def _merge_store_stats(payloads: Sequence[dict]) -> dict:
-    """Persistent-cache traffic summed across workers (the workers
-    probed/stored a shared directory; hits+misses therefore add up to
-    the function count at any job count)."""
-    from .cache import CACHE_STATS_KEYS
-
-    if not any(p.get("cache") for p in payloads):
-        return {}
-    return {key: sum(p["cache"].get(key, 0) for p in payloads)
-            for key in CACHE_STATS_KEYS}
-
-
-def merge_job(module: Module, name: str, payloads: Sequence[dict],
-              verify=None, tracer=None, workers: int = 1,
-              pool_ns: int = 0):
-    """Fold one job's worker *payloads* into the
-    :class:`~repro.pipeline.ExperimentResult` the serial
-    ``run_phases(module, name, ...)`` would have returned.
-
-    Worker tracers are grafted under this run's ``experiment:`` span
-    and the environment blocks are summed; the payloads themselves are
-    parts, assembled by the same :func:`repro.pipeline.fold` and
-    checked by the same :func:`repro.pipeline.verified_run` frame
-    (``verify=`` replays here, in the parent) as a serial run.
-    *workers*/*pool_ns* come from :func:`run_units` and only feed the
-    ``parallel`` block.
-    """
-    from . import pipeline as _pipeline
-
-    tracer = resolve_tracer(tracer)
-    with _pipeline.verified_run(module, name, verify, tracer) \
-            as (result, root):
-        merge_start = time.perf_counter_ns()
-        if tracer.enabled:
-            for payload in payloads:
-                _graft_tracer(tracer, payload["tracer"], root.seq,
-                              root.depth + 1)
-        result.analysis_cache = _merge_cache_stats(payloads)
-        result.cache = _merge_store_stats(payloads)
-        result.module, result.phase_stats, result.phase_breakdown = \
-            _pipeline.fold(module, payloads, tracer)
-        result.parallel = {
-            "mode": "functions",
-            "jobs": workers,
-            "workers": len(payloads),
-            "pool_ns": pool_ns,
-            "merge_ns": time.perf_counter_ns() - merge_start,
-            "shards": [{"worker": p["shard"],
-                        "functions": len(p["functions"]),
-                        "wall_ns": p["wall_ns"]} for p in payloads],
-        }
-    return result
+    for counter, value in worker.counters.items():
+        parent.counters[counter] = parent.counters.get(counter, 0) + value
+    parent._seq = base + worker._seq
+    return base, shift
 
 
 def run_phases_parallel(batch: Sequence[Job], verify, tracers, jobs,
                         pool, cache, target: Target) -> Optional[list]:
-    """The pool half of :func:`repro.pipeline.run_jobs`: every job of
-    *batch* as units on the engine, each merged by :func:`merge_job`
-    under its own resolved tracer of *tracers*.  Returns, per job, its
-    result or the exception it raised (in a worker or in the merge's
-    ``verify:after``), or ``None`` when :func:`run_units` declines and
-    the caller runs serially."""
-    sharded = run_units(batch, jobs, pool, target,
-                        traced=any(tracer.enabled for tracer in tracers),
-                        cache=cache)
-    if sharded is None:
+    """The pool half of :func:`repro.pipeline.run_jobs`: every plan of
+    *batch* as one :func:`_compile_plan` task, largest module first,
+    each job traced into its own resolved tracer of *tracers*.
+    Returns, per job in batch order, its result or the exception it
+    raised, or ``None`` when the caller must run the plans itself (see
+    the module docstring)."""
+    from .pipeline import plans
+
+    configured = pool.workers if pool is not None else resolve_jobs(jobs)
+    if configured <= 1 or not fork_available() or not batch \
+            or any(job.module.externals for job in batch):
         return None
-    workers, pool_ns, outcomes = sharded
-    results = []
-    for job, tracer, outcome in zip(batch, tracers, outcomes):
-        if not isinstance(outcome, Exception):
-            try:
-                outcome = merge_job(job.module, job.name, outcome, verify,
-                                    tracer, workers=workers,
-                                    pool_ns=pool_ns)
-            except Exception as error:  # noqa: BLE001 -- per-job isolation
-                outcome = error
-        results.append(outcome)
+    groups = plans(batch)
+    specs, owners = [], []
+    for plan in groups:
+        # One worker tracer per distinct recording tracer of the plan.
+        recording = list({id(tracers[j]): tracers[j] for j in plan
+                          if tracers[j].enabled}.values())
+        slots = [recording.index(tracers[j]) if tracers[j].enabled
+                 else None for j in plan]
+        owners.append(recording)
+        specs.append(([batch[j] for j in plan], slots, len(recording),
+                      verify, cache, target))
+    order = sorted(range(len(groups)), key=lambda p: -count_instructions(
+        batch[groups[p][0]].module))
+    start = time.perf_counter_ns()
+    if pool is not None:
+        done = pool.run(_compile_plan, [specs[p] for p in order])
+    else:
+        with WorkerPool(configured) as owned:
+            done = owned.run(_compile_plan, [specs[p] for p in order])
+    if done is None:  # even the respawned pool broke: degrade
+        return None
+    pool_ns = time.perf_counter_ns() - start
+
+    returned = dict(zip(order, done))
+    results: list = [None] * len(batch)
+    for p, plan in enumerate(groups):
+        merge_start = time.perf_counter_ns()
+        outcomes, workers = returned[p]
+        offsets = [_graft_tracer(owner, worker)
+                   for owner, worker in zip(owners[p], workers)]
+        block = {"jobs": len(groups), "workers": configured,
+                 "pool_ns": pool_ns}
+        for j, slot, outcome in zip(plan, specs[p][1], outcomes):
+            results[j] = outcome
+            if isinstance(outcome, Exception):
+                continue
+            outcome.tracer, outcome.parallel = tracers[j], block
+            if slot is not None:
+                base, shift = offsets[slot]
+                outcome.phase_breakdown = [
+                    {**entry, "seq": entry["seq"] + base,
+                     "start_ns": entry["start_ns"] + shift}
+                    for entry in outcome.phase_breakdown]
+        block["merge_ns"] = time.perf_counter_ns() - merge_start
     return results

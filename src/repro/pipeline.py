@@ -102,9 +102,9 @@ class ExperimentResult:
     #: (hits/misses/invalidations/preserved and the oracle's memo
     #: traffic, from :meth:`repro.analysis.manager.AnalysisManager.stats`).
     analysis_cache: dict = field(default_factory=dict)
-    #: Parallel-execution breakdown (workers, shard sizes, per-worker
-    #: wall time, merge time) when the run went through the parallel
-    #: engine (:mod:`repro.parallel`); empty for serial runs.
+    #: Pool breakdown (worker count, plans dispatched, pool wall time,
+    #: merge time) when the run's plan ran on a pool worker
+    #: (:mod:`repro.parallel`); empty for runs in the caller.
     parallel: dict = field(default_factory=dict)
     #: Persistent-cache traffic of this run
     #: (hits/misses/stores/evictions/bytes/corrupt, from
@@ -252,27 +252,24 @@ def run_jobs(batch: Sequence, verify=None, tracer=None,
     :class:`repro.observability.Tracer`) records per-phase spans, IR
     deltas and decision counters; ``None`` installs the zero-overhead
     null tracer, and a zero-argument factory such as the ``Tracer``
-    class gives each job its own recorder.  ``jobs`` shards the
-    ``(job, function)`` units across a worker pool (see
-    :mod:`repro.parallel`): ``None`` reads ``$REPRO_JOBS`` (default 1 =
-    serial), ``0`` uses every core; results are merged
-    deterministically, so output is identical at any job count.
-    ``pool`` (a :class:`~repro.parallel.WorkerPool`) reuses a
-    persistent executor instead of forking per call -- same merge, same
-    bytes, no per-call fork cost.  ``cache`` enables the persistent
-    compilation cache (:mod:`repro.cache`): a
+    class gives each job its own recorder.  ``jobs`` runs the batch's
+    plans on a worker pool (see :mod:`repro.parallel`): ``None`` reads
+    ``$REPRO_JOBS`` (default 1 = serial), ``0`` uses every core; a plan
+    runs the same code wherever it runs, so output is identical at any
+    job count.  ``pool`` (a :class:`~repro.parallel.WorkerPool`) reuses
+    a persistent executor instead of forking per call.  ``cache``
+    enables the persistent compilation cache (:mod:`repro.cache`): a
     :class:`~repro.cache.CompilationCache`, a directory path, or
     ``None`` to consult ``$REPRO_CACHE`` (unset = no caching); output is
     identical cache-hot and cache-cold.  The tracer never changes a
     single output byte.
 
-    The pool half (:func:`repro.parallel.run_phases_parallel`) runs
-    first; when it declines, each job runs through :func:`run_phases`.
-    Uncached serial jobs share one :class:`PrefixPlan`, which resumes a
-    job from a phase prefix an earlier job already executed (same
-    bytes, same ``result`` block): *prefix* when given, else a new
-    plan when the batch holds two or more jobs, all of one module.
-    IR validation runs after every phase.
+    The batch is grouped by module into *plans* (:func:`plans`), each
+    run by :func:`run_plan`.  The pool half
+    (:func:`repro.parallel.run_phases_parallel`) runs every plan whole
+    on a worker; when it declines, or when the caller passes its own
+    *prefix* (a :class:`PrefixPlan` for a one-module batch), the plans
+    run here, in order.  IR validation runs after every phase.
     """
     from . import parallel
     from .cache import resolve_cache
@@ -280,21 +277,48 @@ def run_jobs(batch: Sequence, verify=None, tracer=None,
     cache = resolve_cache(cache)
     tracers = [resolve_tracer(tracer() if callable(tracer) else tracer)
                for _ in batch]
-    results = parallel.run_phases_parallel(batch, verify, tracers, jobs,
-                                           pool, cache, target)
-    if results is not None:
-        return results
+    if prefix is None:
+        pooled = parallel.run_phases_parallel(batch, verify, tracers,
+                                              jobs, pool, cache, target)
+        if pooled is not None:
+            return pooled
+    results: list = [None] * len(batch)
+    for plan in plans(batch):
+        outcomes = run_plan([batch[j] for j in plan], verify,
+                            [tracers[j] for j in plan], cache, target,
+                            prefix)
+        for j, outcome in zip(plan, outcomes):
+            results[j] = outcome
+    return results
+
+
+def plans(batch: Sequence) -> list[list[int]]:
+    """*batch*'s job indices grouped by module (the same object), in
+    order of each module's first job; each group is one plan."""
+    groups: dict[int, list[int]] = {}
+    for j, job in enumerate(batch):
+        groups.setdefault(id(job.module), []).append(j)
+    return list(groups.values())
+
+
+def run_plan(jobs: Sequence, verify, tracers: Sequence, cache,
+             target: Target, prefix: Optional["PrefixPlan"] = None) -> list:
+    """Run one plan -- jobs on one module -- in order through
+    :func:`run_phases`, each job's result or exception in its slot.
+    Uncached, the jobs share one :class:`PrefixPlan`, which resumes a
+    job from a phase prefix an earlier job already executed (same
+    bytes, same ``result`` block): *prefix* when given, else a new one
+    when the plan holds two or more jobs."""
     if cache is not None:
         prefix = None
-    elif prefix is None and len(batch) > 1 \
-            and all(job.module is batch[0].module for job in batch):
-        prefix = PrefixPlan([(job.phases, job.options) for job in batch])
+    elif prefix is None and len(jobs) > 1:
+        prefix = PrefixPlan([(job.phases, job.options) for job in jobs])
     results = []
-    for job, job_tracer in zip(batch, tracers):
+    for job, tracer in zip(jobs, tracers):
         try:
             results.append(run_phases(job.module, job.name, job.phases,
                                       job.options, target, verify,
-                                      job_tracer, cache, prefix))
+                                      tracer, cache, prefix))
         except Exception as error:  # noqa: BLE001 -- per-job isolation
             results.append(error)
     return results
@@ -390,18 +414,15 @@ def fold(module: Module, parts: Sequence[dict],
     transformed functions by name, ``{phase: {function: stats}}``, one
     ``phases[]`` entry per phase whose ``functions`` hold each
     function's ``before``/``after`` measures, and decision counters to
-    replay onto *tracer*.  The serial loop's own output is a part (its
-    counters already live on the tracer), a cache entry is a
-    one-function part, and a worker payload is a part: the folded
-    ``phases[]`` has the parts' shape (plus timing), so a worker ships
-    its own folded run.
+    replay onto *tracer*.  The serial loop's own output is the first
+    part (its counters already live on the tracer); each cache hit is a
+    one-function part after it.
 
-    Whatever the order of *parts*, the module lists functions in
-    *module*'s order and every per-function map is re-sequenced the
-    same way.  ``phases[]`` is built only under a recording tracer; an
-    entry's timing is the smallest ``seq``, earliest ``start_ns`` and
-    slowest ``duration_ns`` of the parts that timed it (cache entries
-    carry none).
+    The module lists functions in *module*'s order and every
+    per-function map is re-sequenced the same way.  ``phases[]`` is
+    built only under a recording tracer; an entry's timing
+    (``seq``/``start_ns``/``duration_ns``) is the loop's, the only part
+    that carries any.
     """
     order = {fn_name: i for i, fn_name in enumerate(module.functions)}
 
@@ -425,19 +446,16 @@ def fold(module: Module, parts: Sequence[dict],
     if tracer.enabled:
         for part in parts:
             _replay(tracer, part["counters"])
-        for i in range(max((len(part["phases"]) for part in parts),
-                           default=0)):
-            entries = [part["phases"][i] for part in parts
-                       if i < len(part["phases"])]
-            timed = [entry for entry in entries if "seq" in entry]
+        for i, timed in enumerate(parts[0]["phases"]):
             breakdown.append({
-                "phase": entries[0]["phase"],
-                "seq": min(entry["seq"] for entry in timed),
-                "start_ns": min(entry["start_ns"] for entry in timed),
-                "duration_ns": max(entry["duration_ns"] for entry in timed),
-                "functions": ordered({fn_name: record for entry in entries
+                "phase": timed["phase"],
+                "seq": timed["seq"],
+                "start_ns": timed["start_ns"],
+                "duration_ns": timed["duration_ns"],
+                "functions": ordered({fn_name: record for part in parts
                                       for fn_name, record
-                                      in entry["functions"].items()}),
+                                      in part["phases"][i]["functions"]
+                                      .items()}),
             })
     return merged, {phase: ordered(stats)
                     for phase, stats in phase_stats.items()}, breakdown
@@ -474,7 +492,7 @@ def _verify_before(module: Module, verify, tracer) -> dict:
 def verified_run(module: Module, name: str, verify, tracer,
                  analyses: Optional[AnalysisManager] = None,
                  prefix: Optional["PrefixPlan"] = None):
-    """The frame of every run, serial or merged from workers.
+    """The frame of every run, in the caller or on a pool worker.
 
     Opens the ``experiment:`` span, replays ``verify:before`` on the
     input *module* (or takes its references from *prefix*, see
@@ -530,8 +548,7 @@ def compile_parts(module: Module, phases: tuple, options: PhaseOptions,
     cache), the loop resumes from the plan's stored state for this
     run's longest shared prefix and stores a state at every node a
     later run resumes from.  :func:`run_phases` wraps this in its
-    :func:`verified_run` frame; a parallel worker calls it directly,
-    since the parent counts the paper metrics on the merged module.
+    :func:`verified_run` frame.
     """
     start, in_ssa = 0, False
     if prefix is not None:
@@ -832,8 +849,8 @@ def run_table(module: Module, table: str,
 
     ``options``/``tracer``/``cache`` apply to every run; ``tracer`` may
     be a factory (e.g. the ``Tracer`` class) to give each run its own
-    recorder.  ``jobs > 1`` (or ``pool``) shards the ``(experiment,
-    function)`` units of the whole table across one worker pool.
+    recorder.  The table is one plan: ``jobs > 1`` (or ``pool``) runs
+    it whole on a pool worker.
     """
     specs = [(name, name, options) for name in TABLE_EXPERIMENTS[table]]
     return _run_labelled(module, specs, verify, tracer, jobs,
@@ -850,9 +867,8 @@ def run_experiments(module: Module,
                     cache=None,
                     pool=None) -> list[ExperimentResult]:
     """Run several experiments (default: the whole Table 1 matrix) on
-    *module*, optionally sharding their ``(experiment, function)`` units
-    across a worker pool (``pool`` reuses a persistent
-    :class:`~repro.parallel.WorkerPool`)."""
+    *module*: one plan, run whole on a pool worker with ``jobs > 1``
+    (``pool`` reuses a persistent :class:`~repro.parallel.WorkerPool`)."""
     specs = [(name, name, options) for name in (names or EXPERIMENTS)]
     return _run_labelled(module, specs, verify, tracer, jobs,
                          cache=cache, pool=pool)

@@ -23,8 +23,12 @@ class ServeClient:
     def __init__(self, socket_path: str, timeout: float = 120.0) -> None:
         self.socket_path = socket_path
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(socket_path)
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(socket_path)
+        except OSError:
+            self._sock.close()
+            raise
         self._reader = self._sock.makefile("rb")
 
     # ------------------------------------------------------------------

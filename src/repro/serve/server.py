@@ -121,7 +121,6 @@ class CompileServer:
             "requests": 0, "errors": 0, "dedup_hits": 0, "memo_hits": 0,
             "batches": 0, "batched_requests": 0, "request_seconds": 0.0}
         self.started = time.time()
-        self.worker_pids: list[int] = []
         #: Response memo: fingerprint -> finished ok-response (LRU,
         #: :data:`MEMO_SIZE` entries).  A hit answers without parsing or
         #: compiling.
@@ -145,7 +144,7 @@ class CompileServer:
         self._stopped = asyncio.Event()
         if self.pool is not None:
             # Fork the workers before any request thread exists.
-            self.worker_pids = self.pool.warm()
+            self.pool.warm()
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)  # stale socket from a crash
         self._server = await asyncio.start_unix_server(
@@ -304,6 +303,11 @@ class CompileServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def worker_pids(self) -> list[int]:
+        """The pool's live worker pids (after a respawn, the new ones)."""
+        return self.pool.pids if self.pool is not None else []
+
     def stats_document(self) -> dict:
         return {
             "ok": True,

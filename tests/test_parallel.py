@@ -1,25 +1,28 @@
-"""The parallel compilation driver: determinism, merging, fallbacks.
+"""The parallel compilation driver: plan dispatch, determinism,
+fallbacks.
 
 The contract under test is the acceptance bar of the parallel engine:
 paper-metric output -- the module text and the stats document's whole
 ``result`` block -- must be **identical at any job count**, and so must
-the summed ``analysis_cache`` traffic and event count in ``env``.
-Timing and the ``parallel`` block are ``env`` too and differ by
-design.
+the ``analysis_cache`` traffic and event count in ``env``.  Timing and
+the ``parallel`` block are ``env`` too and differ by design.  The unit
+of pool work is a plan, the jobs of one batch on one module: each plan
+runs whole on a worker and its results come back in batch order.
 """
 
 import os
+import signal
+import time
 
 import pytest
 
 from repro.benchgen import load_suite
 from repro.ir.printer import format_module
-from repro.metrics import count_instructions
-from repro.observability import Tracer, validate_stats
-from repro.parallel import fork_available, partition, resolve_jobs
+from repro.observability import Tracer, stats_digest, validate_stats
+from repro.parallel import Job, WorkerPool, fork_available, resolve_jobs
 from repro.pipeline import (EXPERIMENTS, TABLE_EXPERIMENTS, PhaseOptions,
-                            run_experiment, run_experiments, run_table,
-                            run_table5)
+                            plans, run_experiment, run_experiments,
+                            run_jobs, run_table, run_table5)
 
 from helpers import module_of
 
@@ -79,30 +82,6 @@ class TestJobResolution:
         assert resolve_jobs(None) == 1
 
 
-def function_units(module):
-    """The engine's ``(weight, key)`` units of one module."""
-    return [(count_instructions(f), f.name)
-            for f in module.iter_functions()]
-
-
-class TestPartition:
-    def test_covers_every_function_once(self, kernels):
-        for workers in (1, 2, 4, 7):
-            shards = partition(function_units(kernels.module), workers)
-            names = [n for shard in shards for n in shard]
-            assert sorted(names) == sorted(kernels.module.functions)
-            assert len(shards) <= workers
-
-    def test_deterministic(self, kernels):
-        units = function_units(kernels.module)
-        assert partition(units, 4) == partition(list(units), 4)
-
-    def test_more_workers_than_functions(self):
-        module = module_of(TWO_FUNCTIONS)
-        shards = partition(function_units(module), 16)
-        assert len(shards) == 2
-
-
 class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("experiment", ["Lphi,ABI+C", "naiveABI+C"])
     def test_stats_identical_modulo_timing(self, kernels, experiment):
@@ -131,24 +110,25 @@ class TestSerialParallelEquivalence:
         assert format_module(serial.module) == \
             format_module(parallel.module)
 
-    def test_workers_leave_the_paper_metrics_to_the_parent(
+    def test_plan_counts_paper_metrics_in_its_worker(
             self, kernels, monkeypatch):
-        """Workers run the phases only: moves, weighted moves and
-        instructions are counted once, on the merged module."""
+        """A plan runs whole on its worker, ``verified_run`` frame
+        included: moves, weighted moves and instructions are counted
+        there, never in the parent."""
         import repro.pipeline as pipeline
 
         parent = os.getpid()
         counted = pipeline.weighted_moves
 
-        def parent_only(*args, **kwargs):
-            if os.getpid() != parent:
-                raise AssertionError("a worker counted weighted moves")
+        def worker_only(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("the parent counted weighted moves")
             return counted(*args, **kwargs)
 
-        # Patched before the per-call pool forks: workers inherit it.
-        monkeypatch.setattr(pipeline, "weighted_moves", parent_only)
         serial = run_experiment(kernels.module, "Lphi,ABI+C",
                                 tracer=Tracer(), jobs=1)
+        # Patched before the per-call pool forks: workers inherit it.
+        monkeypatch.setattr(pipeline, "weighted_moves", worker_only)
         parallel = run_experiment(kernels.module, "Lphi,ABI+C",
                                   tracer=Tracer(), jobs=2)
         assert parallel.parallel
@@ -190,28 +170,23 @@ class TestSerialParallelEquivalence:
 class TestWorkerPayload:
     def test_phases_carry_records_not_deltas(self, kernels):
         """A worker ships each phase's per-function ``before``/``after``
-        records; only the parent derives deltas, once, and the merged
+        records; ``to_stats`` derives the deltas, once, and the pooled
         ``result`` equals the serial one."""
-        from repro.parallel import Job, merge_job, run_units
-
         name = "Lphi,ABI+C"
-        workers, pool_ns, (payloads,) = run_units(
-            [Job(kernels.module, name, EXPERIMENTS[name])], jobs=2,
-            traced=True)
-        assert len(payloads) == 2
-        for payload in payloads:
-            assert [e["phase"] for e in payload["phases"]] == \
-                list(EXPERIMENTS[name])
-            for entry in payload["phases"]:
-                assert set(entry) == {"phase", "seq", "start_ns",
-                                      "duration_ns", "functions"}
-                assert entry["functions"]
-                for record in entry["functions"].values():
-                    assert set(record) == {"before", "after"}
-        merged = merge_job(kernels.module, name, payloads, tracer=Tracer(),
-                           workers=workers, pool_ns=pool_ns)
+        pooled = run_experiment(kernels.module, name, tracer=Tracer(),
+                                jobs=2)
+        assert pooled.parallel
+        assert [e["phase"] for e in pooled.phase_breakdown] == \
+            list(EXPERIMENTS[name])
+        for entry in pooled.phase_breakdown:
+            assert set(entry) == {"phase", "seq", "start_ns",
+                                  "duration_ns", "functions"}
+            assert list(entry["functions"]) == \
+                list(kernels.module.functions)
+            for record in entry["functions"].values():
+                assert set(record) == {"before", "after"}
         serial = run_experiment(kernels.module, name, tracer=Tracer())
-        assert merged.to_stats()["result"] == serial.to_stats()["result"]
+        assert pooled.to_stats()["result"] == serial.to_stats()["result"]
 
 
 class TestTableParameterThreading:
@@ -262,15 +237,133 @@ class TestTableParameterThreading:
                 deterministic(right.to_stats())
 
 
+def pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestPlanDispatch:
+    """One unit of pool work: a module's plan, run whole on a worker,
+    largest module first, its results returned in batch order."""
+
+    @pytest.fixture(scope="class")
+    def modules(self, kernels):
+        return [kernels.module, load_suite("example1-8").module,
+                module_of(TWO_FUNCTIONS)]
+
+    @pytest.fixture(scope="class")
+    def batch(self, modules):
+        """Three modules' jobs, interleaved so no plan is contiguous."""
+        names = ("Lphi,ABI+C", "C", "LABI+C")
+        return [Job(module, name, EXPERIMENTS[name])
+                for name in names for module in modules]
+
+    @staticmethod
+    def own_runs(batch):
+        """Each job of *batch* compiled alone, serially."""
+        return [run_experiment(job.module, job.name, tracer=Tracer(),
+                               jobs=1) for job in batch]
+
+    def test_plans_group_jobs_by_module(self, batch, modules):
+        grouped = plans(batch)
+        assert sorted(j for plan in grouped for j in plan) == \
+            list(range(len(batch)))
+        assert [[batch[j].module for j in plan][0] for plan in grouped] \
+            == modules
+        for plan in grouped:
+            assert plan == sorted(plan)
+            assert all(batch[j].module is batch[plan[0]].module
+                       for j in plan)
+
+    def test_results_in_batch_order_match_own_runs(self, batch):
+        results = run_jobs(batch, tracer=Tracer, jobs=2)
+        for job, result, own in zip(batch, results, self.own_runs(batch)):
+            assert result.name == job.name
+            assert result.parallel["jobs"] == 3
+            assert format_module(result.module) == \
+                format_module(own.module)
+            assert stats_digest(result.to_stats()) == \
+                stats_digest(own.to_stats())
+
+    def test_more_workers_than_plans(self, batch):
+        results = run_jobs(batch, jobs=4)
+        assert [r.parallel["jobs"] for r in results] == [3] * len(batch)
+        assert [r.moves for r in results] == \
+            [own.moves for own in self.own_runs(batch)]
+
+    def test_failing_job_stays_in_its_slot(self, batch, modules):
+        broken = Job(modules[1], "broken", ("ssa", "warp-drive"))
+        with_failure = batch[:4] + [broken] + batch[4:]
+        results = run_jobs(with_failure, jobs=2)
+        bad = results.pop(4)
+        assert isinstance(bad, ValueError)
+        assert "unknown phase" in str(bad)
+        assert [format_module(r.module) for r in results] == \
+            [format_module(own.module) for own in self.own_runs(batch)]
+
+    def test_killed_worker_respawns_once(self, batch):
+        reference = run_jobs(batch, jobs=1)
+        with WorkerPool(2) as pool:
+            victim = pool.warm()[0]
+            os.kill(victim, signal.SIGKILL)
+            # Once the executor has reaped its workers it is broken, so
+            # the batch's first submission must respawn it.
+            deadline = time.monotonic() + 60
+            while pid_exists(victim):
+                assert time.monotonic() < deadline, "worker never reaped"
+                time.sleep(0.005)
+            results = run_jobs(batch, pool=pool)
+            assert pool.respawns == 1
+        assert [format_module(r.module) for r in results] == \
+            [format_module(r.module) for r in reference]
+        assert [stats_digest(r.to_stats()) for r in results] == \
+            [stats_digest(r.to_stats()) for r in reference]
+
+    def test_traced_batch_has_unique_seqs_and_one_root_per_job(
+            self, batch):
+        tracer = Tracer()
+        with tracer.span("batch") as outer:
+            run_jobs(batch, tracer=tracer, jobs=2)
+        seqs = [span.seq for span in tracer.spans] + \
+            [event.seq for event in tracer.events]
+        assert len(seqs) == len(set(seqs))
+        roots = [span for span in tracer.spans
+                 if span.name.startswith("experiment:")]
+        assert sorted(span.name for span in roots) == \
+            sorted(f"experiment:{job.name}" for job in batch)
+        assert all(span.parent == outer.seq and span.depth == 1
+                   for span in roots)
+        for result in run_jobs(batch, tracer=Tracer, jobs=2):
+            assert [span.name for span in result.tracer.spans
+                    if span.parent is None] == [f"experiment:{result.name}"]
+            validate_stats(result.to_stats())
+
+    def test_serial_batch_shares_prefixes_per_module(self, batch, modules):
+        def phase_spans(tracer):
+            return sum(span.name.startswith("phase:")
+                       for span in tracer.spans)
+
+        together = Tracer()
+        run_jobs(batch, tracer=together, jobs=1)
+        alone = 0
+        for module in modules:
+            tracer = Tracer()
+            run_jobs([job for job in batch if job.module is module],
+                     tracer=tracer, jobs=1)
+            alone += phase_spans(tracer)
+        unshared = sum(len(job.phases) for job in batch)
+        assert phase_spans(together) == alone < unshared
+
+
 class TestFallbacks:
-    def test_single_function_module_stays_serial(self):
-        module = module_of("""
-func only
-entry:
-    input a
-    ret a
-endfunc
-""")
+    def test_module_with_externals_stays_serial(self):
+        """Externals are arbitrary callables: their plan runs in the
+        caller, where ``verify`` can still call them."""
+        module = module_of(TWO_FUNCTIONS)
+        module.add_external("ext", lambda x: x)
         result = run_experiment(module, "C", jobs=4)
         assert not result.parallel
 

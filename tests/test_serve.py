@@ -21,6 +21,7 @@ Contracts under test:
 """
 
 import concurrent.futures
+import gc
 import multiprocessing
 import os
 import signal
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import pytest
 
@@ -335,6 +337,24 @@ def test_killed_worker_respawns_the_pool(sock_dir):
 
 
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+def test_stats_reports_live_workers_after_a_respawn(sock_dir):
+    socket_path, server = start_server(sock_dir, jobs=2)
+    with ThreadedServer(server):
+        victim = server.worker_pids[0]
+        os.kill(victim, signal.SIGKILL)
+        # Reaped by the executor, which is then broken: the next
+        # request respawns the pool.
+        wait_until(lambda: not pid_exists(victim))
+        stats = compile_valcc1(socket_path)
+        processes = server.pool._pool._processes
+        live = sorted(pid for pid, process in processes.items()
+                      if process.is_alive())
+    assert stats["pool"]["respawns"] == 1
+    assert stats["pool"]["pids"] == live
+    assert len(live) == 2 and victim not in live
+
+
+@pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
 def test_worker_dying_mid_request_is_resubmitted(sock_dir, tmp_path,
                                                  monkeypatch):
     marker = tmp_path / "died"
@@ -372,6 +392,17 @@ def test_pool_that_keeps_breaking_compiles_in_process(sock_dir,
         stats = compile_valcc1(socket_path)
     assert stats["pool"]["respawns"] >= 1
     assert stats["serve"]["errors"] == 0
+
+
+def test_failed_connect_closes_the_client_socket(sock_dir, monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(OSError):
+            ServeClient(os.path.join(sock_dir, "missing.sock"))
+        gc.collect()
+    assert unraisable == []
 
 
 def test_connection_survives_bad_requests(sock_dir):
