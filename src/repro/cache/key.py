@@ -7,10 +7,11 @@ pipeline looked at is unchanged.  Four inputs determine the output of
 1. **The function's IR.**  Canonicalized through the round-trippable
    printer (:func:`repro.ir.printer.format_function`) plus the variable
    metadata the textual form elides -- register classes and physical
-   origins are ``compare=False`` fields of :class:`~repro.ir.types.Var`,
-   yet they steer ABI pinning and coalescing.  The fresh-name counters
-   are included too: two textually identical functions with different
-   ``new_var`` counters produce differently named temporaries.
+   origins are part of a :class:`~repro.ir.types.Var`'s identity but not
+   of its printed name, and they steer ABI pinning and coalescing.  The
+   fresh-name counters are included too: two textually identical
+   functions with different ``new_var`` counters produce differently
+   named temporaries.
 2. **The resolved phase list and options.**  The phase tuple is the
    experiment's actual content (two Table 1 labels with the same phases
    share entries); :class:`~repro.pipeline.PhaseOptions` fields are
@@ -68,10 +69,11 @@ def code_version() -> str:
 def _variable_metadata(function: Function) -> list[str]:
     """The per-variable facts the printed text does not carry.
 
-    Register classes and physical origins are identity-irrelevant
-    (``compare=False``) but compilation-relevant; pin *resources* are
-    walked too so a pin to a variable that never occurs as an operand
-    still contributes its class.
+    Register classes and physical origins are not printed but are
+    compilation-relevant (the validator allows one value per printed
+    name, so the name keys them); pin *resources* are walked too so a
+    pin to a variable that never occurs as an operand still contributes
+    its class.
     """
     seen: dict[str, str] = {}
     for instr in function.instructions():

@@ -14,13 +14,17 @@ instruction operand:
 
 ``Var`` and ``PhysReg`` are both valid *pin targets* (resources); ``Imm``
 is not.  All three are immutable and hashable so they can be used freely
-as dictionary keys in analyses.
+as dictionary keys in analyses; ``Var`` and ``PhysReg`` are interned,
+so they hash and compare by identity.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import os
+import threading
+import weakref
+from dataclasses import dataclass
 from typing import Union
 
 
@@ -47,7 +51,41 @@ class RegClass(enum.Enum):
     COND = "cond"
 
 
-@dataclass(frozen=True, eq=False)
+#: The interned values, one per identity key (see :func:`_interned`).
+_INTERNED: "weakref.WeakValueDictionary[tuple, object]" = \
+    weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+
+
+def _reset_intern_lock() -> None:
+    # A worker forked while another thread held the lock (a pool's
+    # result thread unpickles values) must not inherit it locked.
+    global _INTERN_LOCK
+    _INTERN_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_intern_lock)
+
+
+def _interned(cls: type, key: tuple, fields: tuple) -> object:
+    """The one live *cls* object for *key*, created from *fields* if
+    there is none.  A lookup that misses is retried under a lock, so
+    two threads never create two objects for one key; the table holds
+    its values weakly, so a value no IR refers to any more is freed."""
+    value = _INTERNED.get(key)
+    if value is None:
+        with _INTERN_LOCK:
+            value = _INTERNED.get(key)
+            if value is None:
+                value = object.__new__(cls)
+                for name, item in zip(cls.__dataclass_fields__, fields):
+                    object.__setattr__(value, name, item)
+                _INTERNED[key] = value
+    return value
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Var:
     """A virtual register (an SSA variable once the program is in SSA form).
 
@@ -64,31 +102,28 @@ class Var:
         phase can re-pin the variable to it.  ``None`` for ordinary
         variables.
 
-    Identity is the *name* alone (``regclass``/``origin`` are carried
-    metadata); the hash is cached at construction because values serve
-    as dictionary keys in every analysis -- liveness and interference
-    hash them millions of times per pipeline run.
+    Values are *interned*: constructing ``Var(name, regclass, origin)``
+    returns the one live object with that key, so equality and hashing
+    are ``object``'s identity versions, done in C.  Values serve as
+    dictionary keys in every analysis -- liveness and interference use
+    them millions of times per pipeline run.  Two variables with one
+    name but a different ``regclass`` or ``origin`` are two values; the
+    IR validator rejects a function that holds both.
     """
 
     name: str
-    regclass: RegClass = field(default=RegClass.GPR, compare=False)
-    origin: "PhysReg | None" = field(default=None, compare=False)
+    regclass: RegClass = RegClass.GPR
+    origin: "PhysReg | None" = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.name))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __new__(cls, name: str, regclass: RegClass = RegClass.GPR,
+                origin: "PhysReg | None" = None) -> "Var":
+        return _interned(cls, (cls, name, regclass, origin),
+                         (name, regclass, origin))
 
     def __reduce__(self):
-        # Rebuild through the constructor: the cached string hash is
-        # per process (hash randomization), so it must not be pickled.
+        # Rebuild through the constructor, so an unpickled value is the
+        # interned one of the loading process.
         return (Var, (self.name, self.regclass, self.origin))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Var:
-            return self.name == other.name  # type: ignore[attr-defined]
-        return NotImplemented
 
     def __str__(self) -> str:
         return self.name
@@ -101,30 +136,24 @@ class Var:
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PhysReg:
     """A dedicated physical register of the target machine.
 
     Two physical registers always *strongly interfere* (paper section 3.2),
-    and a variable pinned to one must end up renamed to it.
+    and a variable pinned to one must end up renamed to it.  Interned
+    like :class:`Var`, keyed by ``(name, regclass)``.
     """
 
     name: str
-    regclass: RegClass = field(default=RegClass.GPR, compare=False)
+    regclass: RegClass = RegClass.GPR
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((PhysReg, self.name)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __new__(cls, name: str,
+                regclass: RegClass = RegClass.GPR) -> "PhysReg":
+        return _interned(cls, (cls, name, regclass), (name, regclass))
 
     def __reduce__(self):
         return (PhysReg, (self.name, self.regclass))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is PhysReg:
-            return self.name == other.name  # type: ignore[attr-defined]
-        return NotImplemented
 
     def __str__(self) -> str:
         return f"${self.name}"

@@ -580,10 +580,15 @@ def compile_parts(module: Module, phases: tuple, options: PhaseOptions,
     #: do) cannot have changed what the validator looks at -- pins
     #: are resources, not IR -- so the check is skipped.
     validated: dict[Function, tuple[int, int, bool]] = {}
+    #: A phase's ``before`` measures are the previous phase's ``after``:
+    #: nothing between two phases edits the IR.
+    after = None
     for depth in range(start, len(phases)):
         phase = phases[depth]
         runner = _phase_runner(phase, options, target, tracer, manager)
-        before = _snapshot(work) if tracer.enabled or recording else None
+        before = after
+        if before is None and (tracer.enabled or recording):
+            before = _snapshot(work)
         with tracer.span(f"phase:{phase}", phase=phase) as span:
             stats = None if phase == "ssa" else {}
             capture = tracer.enabled and recording
@@ -602,8 +607,9 @@ def compile_parts(module: Module, phases: tuple, options: PhaseOptions,
         elif phase == "out-of-pinned-ssa":
             in_ssa = False
         if before is not None:
-            entry = {"phase": phase, "functions":
-                     _phase_records(before, _snapshot(work))}
+            after = _snapshot(work)
+            entry = {"phase": phase,
+                     "functions": _phase_records(before, after)}
             if span is not None:  # null tracer: no timing to keep
                 entry.update(seq=span.seq, start_ns=span.start_ns,
                              duration_ns=span.duration_ns)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.ir import (ValidationError, format_function, has_critical_edges,
+from repro.ir import (Operand, PhysReg, RegClass, ValidationError, Var,
+                      format_function, has_critical_edges,
                       predecessors_map, remove_unreachable_blocks,
                       reverse_postorder, split_critical_edges,
                       validate_function, validate_module)
@@ -125,6 +126,34 @@ endfunc
         validate_function(f)  # fine as non-SSA
         with pytest.raises(ValidationError, match="defined twice"):
             validate_function(f, ssa=True)
+
+    def test_two_values_with_one_name_rejected(self):
+        # Values compare by identity: Var("b") and Var("b", PTR) are
+        # two variables that print alike.
+        f = function_of(DIAMOND)
+        mul = f.blocks["right"].body[0]
+        assert mul.uses[0].value is Var("b")
+        mul.uses[0] = Operand(Var("b", RegClass.PTR))
+        for ssa in (False, True):
+            with pytest.raises(ValidationError,
+                               match=r"block right: two values named b"):
+                validate_function(f, ssa=ssa)
+
+    def test_pin_with_a_second_register_of_one_name_rejected(self):
+        f = function_of(DIAMOND)
+        add = f.blocks["left"].body[0]
+        add.uses[0] = Operand(Var("b"), pin=PhysReg("R1"))
+        mul = f.blocks["right"].body[0]
+        mul.uses[0] = Operand(Var("b"), pin=PhysReg("R1", RegClass.PTR))
+        with pytest.raises(ValidationError, match=r"two values named \$R1"):
+            validate_function(f)
+
+    def test_variable_named_like_a_register_accepted(self):
+        # One bare name, two printed names ("R1" and "$R1"): legal.
+        f = function_of(DIAMOND)
+        add = f.blocks["left"].body[0]
+        add.uses[0] = Operand(Var("R1"), pin=PhysReg("R1"))
+        validate_function(f)
 
     def test_phi_incoming_mismatch(self):
         f = function_of(DIAMOND)

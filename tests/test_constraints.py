@@ -50,8 +50,9 @@ endfunc
         pinned = pinning_sp(f)
         assert pinned == 3
         res = variable_resources(f)
-        sp = PhysReg("SP")
-        assert all(r == sp for v, r in res.items() if v.origin is not None)
+        sp = ST120.stack_pointer
+        repinned = [r for v, r in res.items() if v.origin is not None]
+        assert repinned and all(r is sp for r in repinned)
 
     def test_non_sp_untouched(self):
         f = function_of("""

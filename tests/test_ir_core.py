@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -18,9 +20,32 @@ class TestValues:
         assert Var("x") != Var("y")
         assert hash(Var("x")) == hash(Var("x"))
 
-    def test_var_origin_does_not_affect_equality(self):
+    def test_var_is_interned_by_name_regclass_and_origin(self):
         sp = PhysReg("SP", RegClass.SP)
-        assert Var("sp.1", RegClass.SP, sp) == Var("sp.1", RegClass.SP)
+        assert Var("sp.1", RegClass.SP, sp) is Var("sp.1", RegClass.SP, sp)
+        assert PhysReg("SP", RegClass.SP) is sp
+        assert Var("sp.1", RegClass.SP, sp) != Var("sp.1", RegClass.SP)
+        assert Var("x") != Var("x", RegClass.PTR)
+        assert PhysReg("SP") != sp
+
+    def test_interning_is_safe_under_threads(self):
+        names = [f"thread_race.{i}" for i in range(300)]
+        barrier = threading.Barrier(4)
+
+        def build() -> list:
+            barrier.wait()
+            return [Var(name) for name in names]
+
+        with ThreadPoolExecutor(4) as pool:
+            built = list(pool.map(lambda _: build(), range(4)))
+        for values in built[1:]:
+            assert all(a is b for a, b in zip(values, built[0]))
+
+    def test_values_hash_and_compare_by_identity_in_c(self):
+        # A Python-level __hash__/__eq__ costs every analysis query.
+        for cls in (Var, PhysReg):
+            assert cls.__hash__ is object.__hash__
+            assert cls.__eq__ is object.__eq__
 
     def test_physreg_str_has_dollar(self):
         assert str(PhysReg("R0")) == "$R0"
@@ -52,9 +77,10 @@ class TestValues:
         assert wrap32(-1) == -1
         assert wrap32(-(2**31) - 1) == 2**31 - 1
 
-    def test_unpickled_values_hash_like_fresh_ones_across_processes(self):
+    def test_unpickled_values_are_the_interned_ones_across_processes(self):
         # String hashes differ per process: a Var/PhysReg written to a
-        # cache by one process must hash like a fresh one in another.
+        # cache by one process must load as the very object a fresh
+        # construction gives in another.
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
         def run(seed: str, code: str, stdin: str = "") -> str:
@@ -69,12 +95,15 @@ class TestValues:
             "print(pickle.dumps([Var('x'), PhysReg('R0'), "
             "Var('sp.1', RegClass.SP, sp)]).hex())"))
         checked = run("2", (
-            "import pickle, sys; from repro.ir import PhysReg, Var; "
+            "import pickle, sys; "
+            "from repro.ir import PhysReg, RegClass, Var; "
             "x, r0, sp1 = pickle.loads(bytes.fromhex(sys.stdin.read())); "
-            "print(x in {Var('x')}, r0 in {PhysReg('R0')}, "
-            "sp1 in {Var('sp.1')}, sp1.origin in {PhysReg('SP')}, "
-            "sp1.regclass.name, sp1.origin.regclass.name)"), dumped)
-        assert checked == "True True True True SP SP"
+            "sp = PhysReg('SP', RegClass.SP); "
+            "print(x is Var('x'), r0 is PhysReg('R0'), "
+            "sp1 is Var('sp.1', RegClass.SP, sp), sp1.origin is sp, "
+            "sp1 in {Var('sp.1', RegClass.SP, sp)}, "
+            "sp1 is not Var('sp.1', RegClass.SP))"), dumped)
+        assert checked == "True True True True True True"
 
 
 class TestOperand:

@@ -8,6 +8,10 @@
 * **Job-count identity**: ``format_module`` text and ``stats_digest``
   of every suite x Table 1 experiment x Table 5 variant are identical
   at ``jobs=1``, ``jobs=2`` and on a shared ``WorkerPool(2)``.
+* **Address independence**: values hash by identity, so set order over
+  them follows object addresses; a suite compiled twice in one process,
+  with other work allocated and freed in between, gives the same
+  outputs.
 * **Printable output**: every paper output reparses, and
   print -> parse -> print is a fixpoint.
 """
@@ -99,6 +103,15 @@ def test_outputs_identical_at_any_job_count(suites, serial, sharded):
             assert outputs(sharded[suite.name]) == reference, suite.name
             pooled = table_runs(suite.module, pool=pool)
             assert outputs(pooled) == reference, suite.name
+
+
+def test_outputs_independent_of_value_addresses(suites):
+    by_name = {suite.name: suite for suite in suites}
+    module = by_name["VALcc1"].module
+    first = outputs(table_runs(module, jobs=1))
+    assert len(first) == 13
+    table_runs(by_name["VALcc2"].module, jobs=1)  # allocate, then drop
+    assert outputs(table_runs(module, jobs=1)) == first
 
 
 def test_outputs_reparse_to_a_fixpoint(serial):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import compile_module
+from repro import compile_module, pipeline
 from repro.ir import validate_function
 from repro.ir.printer import format_module
 from repro.lai import parse_module
@@ -92,6 +92,30 @@ class TestRunJobs:
             assert stats_digest(result.to_stats()) == \
                 stats_digest(own.to_stats())
         assert bool(results[0].parallel) == (jobs > 1)
+
+
+    def test_recording_run_measures_each_phase_boundary_once(
+            self, monkeypatch):
+        # A phase's ``before`` measures are the previous phase's
+        # ``after``: P phases take P + 1 snapshots, not 2P.
+        calls = []
+        snapshot = pipeline._snapshot
+
+        def counted(module):
+            calls.append(module)
+            return snapshot(module)
+
+        monkeypatch.setattr(pipeline, "_snapshot", counted)
+        phases = EXPERIMENTS["Lphi,ABI+C"]
+        result = run_experiment(module_of(SIMPLE, "loop"), "Lphi,ABI+C",
+                                tracer=Tracer(), jobs=1)
+        assert len(calls) == len(phases) + 1
+        breakdown = result.phase_breakdown
+        assert [entry["phase"] for entry in breakdown] == list(phases)
+        for prev, entry in zip(breakdown, breakdown[1:]):
+            for fn_name, record in entry["functions"].items():
+                assert record["before"] == \
+                    prev["functions"][fn_name]["after"]
 
 
 class TestMatrix:
