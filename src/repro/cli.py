@@ -478,10 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default: all)")
     fuzz_run_p.add_argument("--jobs", type=int, default=4, metavar="N",
                             help="worker pool size: the pool runs "
-                                 "the parallel byte-identity check and, "
-                                 "beside the compositions, the oracle "
-                                 "and cache checks (default 4; 1 runs "
-                                 "every check in this process)")
+                                 "the oracle, parallel and cache checks "
+                                 "beside the compositions (default 4; "
+                                 "1 runs every check in this process)")
     fuzz_run_p.add_argument("--max-seconds", type=float, default=None,
                             metavar="S",
                             help="time-box the sweep (finishes the "

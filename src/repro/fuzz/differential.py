@@ -22,13 +22,21 @@ this program?" -- from a different angle:
     the O(1) dominance interference oracle agrees pair-by-pair with
     interference materialized from per-point liveness (the
     ``tests/test_dominterf_cross_check.py`` reference, inlined here so
-    the fuzzer can run it on arbitrary generated programs).
+    the fuzzer can run it on arbitrary generated programs), and its
+    kill and strong-interference answers agree with
+    :class:`KillReference`, bulk masks built from dominance and
+    liveness alone.
 ``parallel``
     the anchor composition, compiled as a one-job plan on a pool worker
     and pickled back whole, is byte-identical to the serial run.
 ``cache``
     cache-cold and cache-warm outputs are byte-identical to the
     uncached run, and the warm run hits for every function.
+
+``oracle``, ``parallel`` and ``cache`` never read the compositions'
+outputs: given a pool, :func:`check_module` submits all three as soon
+as the reference run passes and collects them once, after the
+compositions and variants.
 
 A failing check yields a :class:`Divergence` instead of raising, so one
 fuzzing sweep reports everything it finds; :meth:`Divergence.key`
@@ -40,9 +48,11 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
-from ..analysis import AnalysisManager, KillRules, Liveness, SSAInterference
+from ..analysis import AnalysisManager, DominatorTree, Liveness
 from ..benchgen.synthetic import (FUZZ_PROFILES, SyntheticConfig,
                                   generate_module_source, profile_config,
                                   verify_runs)
@@ -50,6 +60,8 @@ from ..interp import InterpreterError, TierDivergence, run_module
 from ..ir.printer import format_module
 from ..ir.types import Var
 from ..lai import parse_module
+from ..machine.st120 import ST120
+from ..observability import NULL_TRACER
 from ..pipeline import (EXPERIMENTS, PhaseOptions, PrefixPlan, ensure_ssa,
                         run_experiment, table5_variants)
 
@@ -186,7 +198,8 @@ def _ssa_vars(function) -> list:
 
 def _materialized_masks(function, variables):
     """Reference adjacency from per-point liveness alone -- no
-    dominance, no kill rules (dead defs still clobber their point)."""
+    dominance, no kill rules (dead defs still clobber their point).
+    Returns it with the :class:`Liveness` it read."""
     liveness = Liveness(function)
     index = liveness.index
     for v in variables:
@@ -206,23 +219,140 @@ def _materialized_masks(function, variables):
             for v in index.values_of(mask):
                 if isinstance(v, Var):
                     neighbors[v] = neighbors.get(v, 0) | mask
-    return neighbors, index
+    return neighbors, liveness
+
+
+class KillReference:
+    """The paper's §3.2 kill and strong-interference classes in bulk,
+    from def sites, a :class:`DominatorTree` and a :class:`Liveness`
+    alone: the reference :func:`oracle_cross_check` holds
+    :class:`~repro.analysis.KillRules` to.
+
+    Under SSA a value can only be killed by a writer whose definition it
+    dominates, so one walk down the dominator tree gives every writer
+    its *dominated-by* mask: the defs of the strictly dominating blocks
+    plus the earlier defs of its own block (the phis of a block, and
+    the results of one instruction, do not dominate each other).
+    :meth:`kill_masks` keeps the part of it that meets the mode's
+    liveness condition (Case 1) and adds, for a phi writer, each
+    incoming edge's kill set minus that edge's argument (Case 2).
+    :meth:`strong_masks` gives Cases 3 and 4 straight from the def
+    sites.
+    """
+
+    def __init__(self, function, liveness: Liveness) -> None:
+        self.liveness = liveness
+        index = liveness.index
+        #: Var -> (block, position, instruction); position -1 = phi.
+        self.sites: dict = {}
+        pending = []  # (writer, its block, the defs of its block before it)
+
+        def define(instr, label: str, position: int, earlier: int) -> int:
+            defined = 0
+            for op in instr.defs:
+                if isinstance(op.value, Var):
+                    self.sites[op.value] = (label, position, instr)
+                    pending.append((op.value, label, earlier))
+                    defined |= 1 << index.ensure(op.value)
+            return defined
+
+        #: block -> its phi defs, and every value defined in it.
+        self.phi_defs: dict = {}
+        self.block_defs: dict = {}
+        for label, block in function.blocks.items():
+            phis = 0
+            for phi in block.phis:
+                phis |= define(phi, label, -1, 0)
+            earlier = phis
+            for position, instr in enumerate(block.body):
+                earlier |= define(instr, label, position, earlier)
+            self.phi_defs[label], self.block_defs[label] = phis, earlier
+        domtree = DominatorTree(function)
+        above: dict = {}  # block -> the defs of its strict dominators
+        for label in domtree.preorder():
+            parent = domtree.idom[label]
+            above[label] = 0 if parent is None \
+                else above[parent] | self.block_defs[parent]
+        #: writer -> the values whose definition dominates its own.
+        self.dominated_by = {writer: above.get(label, 0) | earlier
+                             for writer, label, earlier in pending}
+        #: block -> the values live past the phi copies at its end.
+        self.edge_kills = {
+            label: reduce(or_, (liveness.live_in_mask(succ)
+                                & ~self.phi_defs[succ]
+                                for succ in block.successors()), 0)
+            for label, block in function.blocks.items()}
+
+    def kill_masks(self, mode: str) -> dict:
+        """writer -> mask of the values ``variable_kills(writer, .)``
+        reports killed in *mode*."""
+        liveness = self.liveness
+        index = liveness.index
+        masks = {}
+        for writer, (label, position, instr) in self.sites.items():
+            if mode == "base":
+                live = liveness.live_after_mask(label, position)
+            elif mode == "optimistic":
+                live = liveness.live_out_mask(label)
+            else:  # pessimistic: live-in, or defined in the same block
+                live = liveness.live_in_mask(label) | self.block_defs[label]
+            mask = self.dominated_by[writer] & live
+            if position == -1:
+                for pred, op in instr.phi_pairs():
+                    edge = self.edge_kills[pred]
+                    slot = index.get(op.value)
+                    if slot is not None:
+                        edge &= ~(1 << slot)
+                    mask |= edge
+            masks[writer] = mask
+        return masks
+
+    def strong_masks(self) -> dict:
+        """value -> mask of the values it strongly interferes with: the
+        other phis of its block (Case 4), the phis reading a different
+        argument on one of its predecessors (Case 3), and the other
+        results of its instruction."""
+        index = self.liveness.index
+        at_pred: dict = {}   # pred -> the phis reading an argument there
+        same_arg: dict = {}  # (pred, argument) -> the phis reading it
+        for value, (_, position, instr) in self.sites.items():
+            if position == -1:
+                bit = 1 << index.get(value)
+                for pred, op in instr.phi_pairs():
+                    at_pred[pred] = at_pred.get(pred, 0) | bit
+                    key = (pred, op.value)
+                    same_arg[key] = same_arg.get(key, 0) | bit
+        masks = {}
+        for value, (label, position, instr) in self.sites.items():
+            if position == -1:
+                mask = self.phi_defs[label]
+                for pred, op in instr.phi_pairs():
+                    mask |= at_pred[pred] & ~same_arg[pred, op.value]
+            else:
+                mask = reduce(or_, (1 << index.get(op.value)
+                                    for op in instr.defs
+                                    if isinstance(op.value, Var)), 0)
+            masks[value] = mask & ~(1 << index.get(value))
+        return masks
 
 
 def oracle_cross_check(function, max_pairs: int = 4000,
                        kill_modes: Sequence[str] = ("base",)) -> list[str]:
-    """Mismatch descriptions between the dominance oracle and the
-    materialized liveness reference on *function* (brought into SSA on
-    a copy).  Pairs are strided when the quadratic sweep would exceed
-    *max_pairs*; kill/strong answers are cross-checked against a fresh
-    :class:`~repro.analysis.KillRules` in each of *kill_modes*.
+    """Mismatch descriptions between the dominance oracle and two
+    references on *function* (brought into SSA on a copy): interference
+    materialized from per-point liveness, and in each of *kill_modes*
+    the kill/strong answers of a :class:`KillReference` over a fresh
+    :class:`Liveness` and :class:`DominatorTree`.  Pairs are strided
+    when the quadratic sweep would exceed *max_pairs*; kill and strong
+    answers are compared in both directions of every pair.
     """
     work = function.copy()
     ensure_ssa(work)
     variables = _ssa_vars(work)
     if len(variables) < 2:
         return []
-    neighbors, index = _materialized_masks(work, variables)
+    neighbors, liveness = _materialized_masks(work, variables)
+    index = liveness.index
     manager = AnalysisManager()
     oracle = manager.dominterf(work)
     mismatches: list[str] = []
@@ -242,30 +372,34 @@ def oracle_cross_check(function, max_pairs: int = 4000,
                         f"{function.name}: interfere({a}, {b}) = {got}, "
                         f"liveness says {expected}")
             count += 1
-    interference = SSAInterference(work)
+    reference = KillReference(work, liveness)
+    strong = reference.strong_masks()
+    slot = {v: index.get(v) for v in variables}
     for mode in kill_modes:
         mode_oracle = manager.dominterf(work, mode)
-        fresh = KillRules(interference, mode=mode)
+        kills = reference.kill_masks(mode)
         for a, b in pairs:
             for x, y in ((a, b), (b, a)):
-                if mode_oracle.variable_kills(x, y) \
-                        != fresh.variable_kills(x, y):
+                expected = (kills[x] >> slot[y]) & 1 == 1
+                if mode_oracle.variable_kills(x, y) != expected:
                     mismatches.append(
                         f"{function.name}: kills({x}, {y}) mode={mode} "
-                        f"disagrees with fresh KillRules")
-                if mode_oracle.strongly_interfere(x, y) \
-                        != fresh.strongly_interfere(x, y):
+                        f"= {not expected}, dominance+liveness reference "
+                        f"says {expected}")
+                expected = (strong[x] >> slot[y]) & 1 == 1
+                if mode_oracle.strongly_interfere(x, y) != expected:
                     mismatches.append(
                         f"{function.name}: strong({x}, {y}) mode={mode} "
-                        f"disagrees with fresh KillRules")
+                        f"= {not expected}, def-site reference says "
+                        f"{expected}")
     return mismatches
 
 
 # ----------------------------------------------------------------------
 # The checks that never read the compositions' outputs.  Each is a
-# module-level task over the program's source text (immutable, so it is
-# safe to pickle while this process compiles), which lets a sweep's pool
-# run it in a worker beside the compositions.
+# module-level task over inputs this process no longer touches (the
+# source text, a private module copy), which lets a sweep's pool run it
+# in a worker beside the compositions.
 # ----------------------------------------------------------------------
 def _oracle_mismatches(source: str) -> list[str]:
     """The ``oracle`` check: :func:`oracle_cross_check` on every
@@ -278,6 +412,39 @@ def _oracle_mismatches(source: str) -> list[str]:
             mismatches.append(f"{function.name}: cross-check crashed: "
                               f"{exc!r}")
     return mismatches
+
+
+def _parallel_output(module, verify, jobs: int) -> str:
+    """The ``parallel`` check's run without a sweep pool:
+    :data:`ANCHOR_COMPOSITION` at ``jobs=jobs`` (on a pool of its own
+    when *jobs* > 1), as output text."""
+    return format_module(run_experiment(module, ANCHOR_COMPOSITION,
+                                        verify=verify, jobs=jobs).module)
+
+
+def _anchor_plan(module, verify) -> tuple:
+    """The ``parallel`` check's task for a sweep pool:
+    :data:`ANCHOR_COMPOSITION` as the one-job
+    :func:`~repro.parallel._compile_plan` spec ``run_experiment`` would
+    send, on a private copy of *module* (the executor pickles it while
+    this process compiles)."""
+    from ..cache import resolve_cache
+    from ..parallel import Job, _compile_plan, plan_spec
+
+    job = Job(module.copy(), ANCHOR_COMPOSITION,
+              EXPERIMENTS[ANCHOR_COMPOSITION])
+    spec, _ = plan_spec([job], [NULL_TRACER], verify, resolve_cache(None),
+                        ST120)
+    return _compile_plan, spec
+
+
+def _plan_output(done) -> str:
+    """The output text of the one job of a returned
+    :func:`~repro.parallel._compile_plan`; raises the job's exception."""
+    (result,), _ = done
+    if isinstance(result, Exception):
+        raise result
+    return format_module(result.module)
 
 
 def _cache_round_trip(source: str, verify) -> tuple[str, str, int]:
@@ -297,23 +464,43 @@ def _cache_round_trip(source: str, verify) -> tuple[str, str, int]:
             warm.cache.get("hits", 0))
 
 
-def _collect(pool, futures: dict) -> dict:
-    """check -> what its task returned or raised, for every submitted
-    check whose worker survived.  A check whose worker died is left
-    out (it reruns in this process) and the broken pool is respawned
-    once."""
+def _submit(pool, tasks: dict) -> dict:
+    """check -> future of its ``(task, *args)`` on *pool*; a check the
+    pool refused is left out (it runs in this process)."""
+    futures = {}
+    for check, (task, *args) in tasks.items():
+        future = pool.submit(task, *args)
+        if future is not None:
+            futures[check] = future
+    return futures
+
+
+def _collect(pool, futures: dict, tasks: dict) -> dict:
+    """check -> what its task returned or raised, for every check in
+    *futures*.  The checks whose worker died are resubmitted once, to
+    the respawned pool; a second death is that check's outcome.  A
+    check the pool refused is left out (it runs in this process)."""
     from concurrent.futures.process import BrokenProcessPool
 
-    outcomes, broken = {}, False
-    for check, future in futures.items():
-        try:
-            outcomes[check] = future.result()
-        except BrokenProcessPool:
-            broken = True
-        except Exception as exc:  # noqa: BLE001 - reported in its slot
-            outcomes[check] = exc
-    if broken:
-        pool.respawn()
+    outcomes, retried = {}, False
+    while futures:
+        broken = {}
+        for check, future in futures.items():
+            try:
+                outcomes[check] = future.result()
+            except BrokenProcessPool as exc:
+                outcomes[check] = exc
+                broken[check] = tasks[check]
+            except Exception as exc:  # noqa: BLE001 - reported in its slot
+                outcomes[check] = exc
+        futures = {}
+        if broken:
+            pool.respawn()
+            if not retried:
+                retried = True
+                for check in broken:
+                    del outcomes[check]
+                futures = _submit(pool, broken)
     return outcomes
 
 
@@ -335,11 +522,13 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
     observable behaviour.  Returns a :class:`SeedResult` whose
     ``divergences`` is empty iff the program survives everything.
     ``pool`` (a :class:`~repro.parallel.WorkerPool`) runs the
-    ``parallel`` check on the caller's pool instead of opening one, and
-    runs the ``oracle`` and ``cache`` checks in its workers while this
-    process runs the compositions and variants.  Either way every
-    divergence is reported in the same order; a check whose worker
-    died reruns here.
+    ``oracle``, ``parallel`` and ``cache`` checks in its workers: all
+    three are submitted as soon as the reference run passes, and this
+    process blocks on them once, after the compositions and variants.
+    Without a pool they run here, in order, and the ``parallel`` check
+    opens a pool of *jobs* workers for its one run.  Either way every
+    divergence is reported in the same order.  A check whose worker
+    died is resubmitted once to the respawned pool.
     """
     checks = tuple(checks)
     names = tuple(experiments) if experiments is not None \
@@ -378,18 +567,27 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
                           f"reference run failed: {exc}", seed, profile))
         return result
 
-    tasks = {"oracle": (_oracle_mismatches, source),
-             "cache": (_cache_round_trip, source, verify)}
-    futures = {}
+    from ..parallel import fork_available
+
+    # Only the anchor composition's output is compared with the
+    # parallel and cache runs: without it they would be discarded unread.
+    anchored = "compositions" in checks and ANCHOR_COMPOSITION in names
+    # check -> (task, *args).  A pool gets them in this order, the
+    # longest (oracle) last, which measured fastest (docs/fuzzing.md);
+    # results are reported in ALL_CHECKS order either way.
+    tasks = {}
+    if "cache" in checks and anchored:
+        tasks["cache"] = (_cache_round_trip, source, verify)
+    if "parallel" in checks and anchored and fork_available():
+        tasks["parallel"] = (_parallel_output, module, verify, jobs)
+    if "oracle" in checks:
+        tasks["oracle"] = (_oracle_mismatches, source)
+    pooled, futures = {}, {}
     if pool is not None:
-        # Only the anchor composition's output is compared with the
-        # cache runs: without it they would be discarded unread.
-        anchored = "compositions" in checks and ANCHOR_COMPOSITION in names
-        for check, (task, *args) in tasks.items():
-            if check in checks and (check != "cache" or anchored):
-                future = pool.submit(task, *args)
-                if future is not None:
-                    futures[check] = future
+        pooled = {check: _anchor_plan(module, verify)
+                  if check == "parallel" else task
+                  for check, task in tasks.items()}
+        futures = _submit(pool, pooled)
 
     if "interp" in checks:
         # Explicit lockstep run regardless of $REPRO_INTERP: the
@@ -444,8 +642,7 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
                     f"moves[{lhs}]={result.moves[lhs]} > "
                     f"moves[{rhs}]={result.moves[rhs]}", seed, profile))
 
-    # Collected before the ``parallel`` check, so it finds the pool idle.
-    outcomes = _collect(pool, futures)
+    outcomes = _collect(pool, futures, pooled)
 
     def outcome(check: str):
         """*check*'s task result, from its worker or else run here;
@@ -455,33 +652,28 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
             return task(*args)
         if isinstance(outcomes[check], Exception):
             raise outcomes[check]
+        if check == "parallel":
+            return _plan_output(outcomes[check])
         return outcomes[check]
 
-    if "oracle" in checks:
+    if "oracle" in tasks:
         for mismatch in outcome("oracle"):
             report(Divergence("oracle", "", "mismatch", mismatch,
                               seed, profile))
 
-    if "parallel" in checks and anchor is not None \
-            and len(module.functions) > 1:
-        from ..parallel import fork_available
+    if "parallel" in tasks and anchor is not None:
+        try:
+            if outcome("parallel") != anchor:
+                report(Divergence(
+                    "parallel", ANCHOR_COMPOSITION, "mismatch",
+                    f"--jobs {jobs} output differs from serial",
+                    seed, profile))
+        except Exception as exc:  # noqa: BLE001
+            report(Divergence("parallel", ANCHOR_COMPOSITION,
+                              type(exc).__name__, str(exc) or "crash",
+                              seed, profile))
 
-        if fork_available():
-            try:
-                pooled = run_experiment(module, ANCHOR_COMPOSITION,
-                                         verify=verify, jobs=jobs,
-                                         pool=pool)
-                if format_module(pooled.module) != anchor:
-                    report(Divergence(
-                        "parallel", ANCHOR_COMPOSITION, "mismatch",
-                        f"--jobs {jobs} output differs from serial",
-                        seed, profile))
-            except Exception as exc:  # noqa: BLE001
-                report(Divergence("parallel", ANCHOR_COMPOSITION,
-                                  type(exc).__name__, str(exc) or "crash",
-                                  seed, profile))
-
-    if "cache" in checks and anchor is not None:
+    if "cache" in tasks and anchor is not None:
         try:
             cold, warm, hits = outcome("cache")
             for tag, text in (("cache-cold", cold), ("cache-warm", warm)):

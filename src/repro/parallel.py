@@ -293,6 +293,20 @@ def _graft_tracer(parent: Tracer, worker: Tracer) -> tuple[int, int]:
     return base, shift
 
 
+def plan_spec(jobs: Sequence[Job], tracers: Sequence, verify, cache,
+              target: Target) -> tuple[tuple, list]:
+    """The :func:`_compile_plan` spec of one plan -- *jobs* on one
+    module, each traced into its resolved tracer of *tracers* -- and
+    the recording tracers its worker tracers stand for, one per
+    distinct recording tracer, in slot order."""
+    recording = list({id(tracer): tracer for tracer in tracers
+                      if tracer.enabled}.values())
+    slots = [recording.index(tracer) if tracer.enabled else None
+             for tracer in tracers]
+    return (list(jobs), slots, len(recording), verify, cache,
+            target), recording
+
+
 def run_phases_parallel(batch: Sequence[Job], verify, tracers, jobs,
                         pool, cache, target: Target) -> Optional[list]:
     """The pool half of :func:`repro.pipeline.run_jobs`: every plan of
@@ -310,14 +324,11 @@ def run_phases_parallel(batch: Sequence[Job], verify, tracers, jobs,
     groups = plans(batch)
     specs, owners = [], []
     for plan in groups:
-        # One worker tracer per distinct recording tracer of the plan.
-        recording = list({id(tracers[j]): tracers[j] for j in plan
-                          if tracers[j].enabled}.values())
-        slots = [recording.index(tracers[j]) if tracers[j].enabled
-                 else None for j in plan]
+        spec, recording = plan_spec([batch[j] for j in plan],
+                                    [tracers[j] for j in plan],
+                                    verify, cache, target)
+        specs.append(spec)
         owners.append(recording)
-        specs.append(([batch[j] for j in plan], slots, len(recording),
-                      verify, cache, target))
     order = sorted(range(len(groups)), key=lambda p: -count_instructions(
         batch[groups[p][0]].module))
     start = time.perf_counter_ns()

@@ -3,12 +3,18 @@
 interference materialized straight from liveness -- on every kernel,
 every LAI suite and every synthetic program we can generate.
 
-The reference is deliberately independent of the oracle's dominance
-shortcut: walk every program point, take the live-after set plus the
+The interference reference is deliberately independent of the
+oracle's dominance shortcut: walk every program point, take the live-after set plus the
 values defined *at* that point (a dead definition still clobbers its
 resource; a phi prefix defines all its phis in parallel), and mark every
 pair simultaneously present.  Under strict SSA that pointwise overlap
 relation is exactly what ``interfere`` claims to answer in O(1).
+
+The kill and strong answers are held to two references: a fresh
+:class:`KillRules`, and the fuzz harness's bulk ``KillReference``
+(dominance and liveness masks, no KillRules code), which must agree
+with KillRules everywhere and must catch a KillRules seeded with a
+wrong rule.
 """
 
 import random
@@ -23,7 +29,11 @@ from repro.analysis.dominterf import EMPTY_SIG
 from repro.analysis.interference import InterferenceGraph
 from repro.benchgen import all_suites
 from repro.benchgen.kernels import KERNELS
-from repro.benchgen.synthetic import SyntheticConfig, generate_module
+from repro.benchgen.synthetic import (SyntheticConfig, generate_module,
+                                      generate_module_source,
+                                      profile_config)
+from repro.fuzz import oracle_cross_check
+from repro.fuzz.differential import KillReference
 from repro.ir.types import Var
 from repro.lai import parse_module
 from repro.pipeline import ensure_ssa
@@ -124,6 +134,27 @@ def assert_kill_rules_agree(function, manager):
                         "kill_candidates_mask must be a superset"
 
 
+def assert_reference_agrees(function):
+    """The fuzz harness's bulk KillReference vs a fresh KillRules in
+    every mode: kill masks and strong answers, both directions of every
+    swept pair and every variable against itself."""
+    variables = ssa_vars(function)
+    reference = KillReference(function, Liveness(function))
+    index = reference.liveness.index
+    pairs = [(v, v) for v in variables]
+    pairs += [(x, y) for a, b in pair_stream(variables)
+              for x, y in ((a, b), (b, a))]
+    strong = reference.strong_masks()
+    for mode in MODES:
+        rules = KillRules(SSAInterference(function), mode=mode)
+        kills = reference.kill_masks(mode)
+        for x, y in pairs:
+            assert (kills[x] >> index.get(y)) & 1 \
+                == rules.variable_kills(x, y), (function.name, mode, x, y)
+            assert (strong[x] >> index.get(y)) & 1 \
+                == rules.strongly_interfere(x, y), (function.name, x, y)
+
+
 def assert_strong_sigs_agree(function, manager, seed):
     """The group-level StrongSig test vs the pairwise reference on a
     random partition of the variables."""
@@ -162,6 +193,7 @@ def check_function(function, seed=0):
     manager = AnalysisManager()
     assert_interfere_agrees(function, manager)
     assert_kill_rules_agree(function, manager)
+    assert_reference_agrees(function)
     assert_strong_sigs_agree(function, manager, seed)
 
 
@@ -188,6 +220,7 @@ def test_lai_suites_agree(suite_name):
         manager = AnalysisManager()
         assert_interfere_agrees(function, manager)
         assert_kill_rules_agree(function, manager)
+        assert_reference_agrees(function)
         assert_strong_sigs_agree(function, manager, seed)
 
 
@@ -274,3 +307,102 @@ def test_oracle_counts_hits_and_misses():
     stats = manager.stats()
     assert stats["oracle_hits"] == manager.oracle_stats.hits
     assert stats["oracle_misses"] == manager.oracle_stats.misses
+
+
+# ----------------------------------------------------------------------
+# The fuzz harness's reference catches a wrong kill rule
+# ----------------------------------------------------------------------
+
+def kills_with_case1_reversed(self, a, b):
+    """Case 1 (base mode) with the dominance direction reversed, Case 2
+    kept."""
+    ssa = self.ssa
+    if a != b and ssa.defuse.def_dominates(a, b, ssa.domtree) \
+            and ssa.live_at_def(b, a):
+        return True
+    site = ssa.defuse.def_site(a)
+    slot = ssa.liveness.index.get(b)
+    return site is not None and site.is_phi and slot is not None \
+        and (self._phi_kill_mask(a) >> slot) & 1 == 1
+
+
+_STRONG = KillRules._strongly_interfere
+
+
+def strong_without_case3(self, a, b):
+    """Two phis of different blocks never interfere: Case 3 missed."""
+    site_a = self.ssa.defuse.def_site(a)
+    site_b = self.ssa.defuse.def_site(b)
+    if site_a is not None and site_b is not None and site_a.is_phi \
+            and site_b.is_phi and site_a.block != site_b.block:
+        return False
+    return _STRONG(self, a, b)
+
+
+#: SSA source whose phis sit in single-predecessor blocks, so splitting
+#: critical edges leaves the shared predecessor ``entry``: ``x`` and
+#: ``y`` strongly interfere by Case 3 (sources ``a`` and ``b`` there),
+#: and ``x`` kills ``k`` by Case 2 alone (``k`` is live past the copies
+#: at the end of ``entry`` but dead in ``left``).  Without such phis
+#: neither case shows in base mode: every program the fuzzer generates
+#: has its critical edges split, where a value live past a phi's edge
+#: copies is live into the phi's block, and two phi blocks never share
+#: a predecessor.
+SHARED_PREDECESSOR = """\
+func shared
+entry:
+    input a, b, c
+    make k, 5
+    cbr c, left, right
+left:
+    x = phi(a:entry)
+    add s, x, 1
+    ret s
+right:
+    y = phi(b:entry)
+    add t, y, k
+    ret t
+endfunc
+"""
+
+
+def seeded_functions():
+    """The witness above and the functions of fuzz seed 0 of two
+    profiles."""
+    yield from parse_module(SHARED_PREDECESSOR).iter_functions()
+    for profile in ("default", "swap-webs"):
+        source = generate_module_source(0, 3, profile_config(profile),
+                                        "seeded")
+        yield from parse_module(source).iter_functions()
+
+
+@pytest.mark.parametrize("method,fault,query", [
+    # Drops Case 2 from _variable_kills: every phi's kill mask is empty.
+    ("_phi_kill_mask", lambda self, a: 0, "kills("),
+    ("_variable_kills", kills_with_case1_reversed, "kills("),
+    ("_strongly_interfere", strong_without_case3, "strong("),
+], ids=["no-case-2", "case-1-reversed", "no-case-3"])
+def test_oracle_cross_check_catches_a_wrong_kill_rule(monkeypatch, method,
+                                                      fault, query):
+    """The oracle under test answers kills/strong through KillRules; a
+    wrong rule there must show as mismatches against the reference."""
+    functions = list(seeded_functions())
+    assert all(oracle_cross_check(f, kill_modes=MODES) == []
+               for f in functions)
+    monkeypatch.setattr(KillRules, method, fault)
+    mismatches = [m for f in functions
+                  for m in oracle_cross_check(f, kill_modes=MODES)]
+    assert any(m.startswith("shared: ") for m in mismatches), \
+        "the witness missed the seeded fault"
+    assert all(query in m for m in mismatches), mismatches[:3]
+
+
+def test_optimistic_mode_sees_case_2_on_generated_programs(monkeypatch):
+    """On split-edge programs the phi kill still matters in optimistic
+    mode, whose Case 1 reads live-out rather than live-in: the fuzz
+    sweep's own programs catch a dropped Case 2 there."""
+    monkeypatch.setattr(KillRules, "_phi_kill_mask", lambda self, a: 0)
+    functions = list(seeded_functions())[1:]
+    assert not any(oracle_cross_check(f) for f in functions)
+    assert any(oracle_cross_check(f, kill_modes=("optimistic",))
+               for f in functions)

@@ -14,10 +14,13 @@ Two layers of coverage:
 import os
 import signal
 import tempfile
+import time
 
 import pytest
 
 import repro.fuzz.differential as differential
+import repro.parallel as parallel
+import repro.pipeline as pipeline
 from repro.benchgen.synthetic import (FUZZ_PROFILES, SyntheticConfig,
                                       generate_module_source,
                                       profile_config, verify_runs)
@@ -165,7 +168,8 @@ def test_regression_file_round_trip(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The pooled path: ``oracle`` and ``cache`` run in the pool's workers
+# The pooled path: ``oracle``, ``parallel`` and ``cache`` run in the
+# pool's workers
 # ----------------------------------------------------------------------
 fork_only = pytest.mark.skipif(not fork_available(),
                                reason="WorkerPool needs the fork start "
@@ -220,27 +224,107 @@ def test_pooled_injected_failures_keep_their_order(monkeypatch):
         [("oracle", "mismatch")] * 2 + [("cache", "mismatch")] * 2
 
 
+def _wait_for(path, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{path.name} never appeared")
+        time.sleep(0.005)
+
+
 @fork_only
 def test_pooled_check_survives_a_killed_worker(monkeypatch, tmp_path):
+    """A worker dies while the ``parallel`` task is in flight: the pool
+    is respawned once and every check the death took down is
+    resubmitted to it; none reruns in the parent."""
     parent = os.getpid()
+    source, verify = _program(5, n_functions=2, config=SMOKE)
+    serial = check_module(source, verify, jobs=2)
+    started, died = tmp_path / "plan-started", tmp_path / "oracle-died"
     original_oracle = differential.oracle_cross_check
+    original_plan = pipeline.run_plan
 
     def dying_oracle(function, *args, **kwargs):
-        if os.getpid() != parent:  # only in a pool worker
+        if os.getpid() == parent:
+            raise RuntimeError("parent ran the oracle")
+        if not died.exists():  # the first run dies, once the plan runs
+            _wait_for(started)
+            died.touch()
             os.kill(os.getpid(), signal.SIGKILL)
         return original_oracle(function, *args, **kwargs)
 
+    def waiting_plan(jobs, verify, tracers, cache, target, prefix=None):
+        if os.getpid() != parent and cache is None:  # the parallel check
+            started.touch()
+            _wait_for(died)
+        return original_plan(jobs, verify, tracers, cache, target, prefix)
+
     monkeypatch.setattr(differential, "oracle_cross_check", dying_oracle)
+    monkeypatch.setattr(pipeline, "run_plan", waiting_plan)
     # The other worker dies with the pool, maybe mid cache round trip.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    source, verify = _program(5, n_functions=2, config=SMOKE)
-    serial = check_module(source, verify, jobs=2)
+    submitted = []
     with WorkerPool(2) as pool:
+        submit = pool.submit
+
+        def recording_submit(task, *args):
+            submitted.append(task.__name__)
+            return submit(task, *args)
+
+        monkeypatch.setattr(pool, "submit", recording_submit)
         pooled = check_module(source, verify, jobs=2, pool=pool)
         assert pool.respawns == 1
         assert pool.ping()
     assert _outcome(pooled) == _outcome(serial)
     assert serial.ok, [d.describe() for d in serial.divergences]
+    tasks = {"_oracle_mismatches", "_compile_plan", "_cache_round_trip"}
+    first, again = submitted[:3], submitted[3:]
+    assert set(first) == tasks
+    # Each check at most once more: the oracle and the parallel task were
+    # still running at the death, the cache task may have finished.
+    assert {"_oracle_mismatches", "_compile_plan"} <= set(again) <= tasks
+    assert len(set(again)) == len(again)
+
+
+@fork_only
+def test_pooled_parallel_check_runs_in_a_worker(monkeypatch):
+    def crashing_parallel(*args, **kwargs):
+        raise RuntimeError("parent ran the parallel check")
+
+    source, verify = _program(6, n_functions=2, config=SMOKE)
+    with WorkerPool(2) as pool:
+        assert pool.warm()  # workers keep the real run_phases_parallel
+        monkeypatch.setattr(parallel, "run_phases_parallel",
+                            crashing_parallel)
+        pooled = check_module(source, verify, jobs=2, pool=pool)
+        assert pool.respawns == 0
+    assert pooled.ok, [d.describe() for d in pooled.divergences]
+
+
+@fork_only
+def test_parallel_check_runs_on_one_function_programs(monkeypatch):
+    """The ``parallel`` check compares a one-function program too: an
+    output skewed in the worker is reported, pooled and serial."""
+    parent = os.getpid()
+    original_plan = pipeline.run_plan
+
+    def skewed_plan(jobs, verify, tracers, cache, target, prefix=None):
+        results = original_plan(jobs, verify, tracers, cache, target,
+                                prefix)
+        if os.getpid() != parent and cache is None:  # the parallel check
+            for result in results:
+                result.module.functions.clear()
+        return results
+
+    monkeypatch.setattr(pipeline, "run_plan", skewed_plan)
+    source, verify = _program(8, n_functions=1, config=SMOKE)
+    assert len(parse_module(source).functions) == 1
+    serial = check_module(source, verify, jobs=2)
+    with WorkerPool(2) as pool:
+        pooled = check_module(source, verify, jobs=2, pool=pool)
+    assert _outcome(pooled) == _outcome(serial)
+    assert [(d.check, d.kind) for d in pooled.divergences] == \
+        [("parallel", "mismatch")]
 
 
 @fork_only
