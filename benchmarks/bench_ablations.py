@@ -1,58 +1,25 @@
 """Ablations of the design choices DESIGN.md calls out.
 
 Not in the paper's tables, but each isolates one decision of the
-algorithm:
+algorithm (``extensions.ABLATIONS``):
 
 * ``weight-ordered`` greedy pruning vs arbitrary-order pruning,
 * ``inner-to-outer`` block traversal vs outer-to-inner vs layout order,
 * corrected weight updates vs the paper's literal pseudo-code,
 * allowing vs forbidding phi-web merges into physical registers
   (the [LIM1] cost-model approximation quantified).
+
+``LAI_Large-weighted`` adds weighted counts for the traversal pair on
+the deepest suite (traversal order should matter most under 5^depth
+weights).
 """
 
-import pytest
-
-from conftest import run_once
-from repro.pipeline import PhaseOptions, run_experiment
+from conftest import run_once, save_table
+from extensions import ablations
 
 TABLE = "ablations"
-SUITE_NAMES = ("VALcc1", "LAI_Large", "SPECint")
-
-ABLATIONS = {
-    "default": PhaseOptions(),
-    "unordered-pruning": PhaseOptions(weight_ordered=False),
-    "outer-to-inner": PhaseOptions(traversal="outer-to-inner"),
-    "layout-order": PhaseOptions(traversal="layout"),
-    "literal-weights": PhaseOptions(literal_weight_update=True),
-    "no-phys-merge": PhaseOptions(phys_affinity=False),
-}
 
 
-@pytest.mark.parametrize("suite_name", SUITE_NAMES)
-@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
-def test_ablation(benchmark, suites, collector, suite_name, ablation):
-    suite = suites[suite_name]
-    result = run_once(benchmark, run_experiment, suite.module,
-                      "Lphi,ABI+C", options=ABLATIONS[ablation])
-    collector.record(TABLE, suite_name, ablation, result.moves)
-
-
-def test_ablation_weighted(benchmark, suites, collector):
-    """Weighted counts for the loop-related choices on the deepest
-    suite (traversal order should matter most under 5^depth weights)."""
-    suite = suites["LAI_Large"]
-    for name in ("default", "outer-to-inner"):
-        result = run_experiment(suite.module, "Lphi,ABI+C",
-                                options=ABLATIONS[name])
-        collector.record(TABLE, "LAI_Large-weighted", name, result.weighted)
-    run_once(benchmark, lambda: None)
-
-
-def test_ablation_report(benchmark, collector, capsys):
-    run_once(benchmark, lambda: None)
-    if TABLE not in collector.tables:
-        pytest.skip("run with --benchmark-only to fill the table")
-    with capsys.disabled():
-        print()
-        print(collector.render(TABLE, baseline="default"))
-    collector.save(TABLE)
+def test_ablations(benchmark, suites, collector, capsys):
+    rows = run_once(benchmark, ablations, suites)
+    save_table(collector, capsys, TABLE, rows, baseline="default")

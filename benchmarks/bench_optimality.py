@@ -12,82 +12,19 @@ optimal on almost every block, because real affinity graphs are tiny
 stars with sparse interference.
 """
 
-import pytest
-
-from conftest import run_once
-from repro.machine.constraints import pinning_abi, pinning_sp
-from repro.outofssa import affinity
-from repro.outofssa.pinning_coalescer import _Coalescer
-from repro.pipeline import ensure_ssa
-from repro.ssa import optimize_ssa
+from conftest import run_once, save_table
+from extensions import optimality
 
 TABLE = "optimality"
-SUITE_NAMES = ("VALcc1", "VALcc2", "example1-8", "LAI_Large", "SPECint")
 
 
-def block_instances(module):
-    """Yield (edges, interfere) per phi block, on the pre-coalescing
-    pool state (each block judged as the first local decision)."""
-    for function in module.iter_functions():
-        ensure_ssa(function)
-        optimize_ssa(function)
-        pinning_sp(function)
-        pinning_abi(function)
-        coalescer = _Coalescer(function, "base", False, False,
-                               "inner-to-outer", True)
-        interfere = coalescer._interference_predicate()
-        for label in coalescer._block_order():
-            block = function.blocks[label]
-            if not block.phis:
-                continue
-            _, edges = coalescer._affinity_graph(label, None)
-            if edges:
-                yield edges, interfere
-
-
-@pytest.mark.parametrize("suite_name", SUITE_NAMES)
-def test_optimality_gap(benchmark, suites, collector, suite_name):
-    module = suites[suite_name].fresh()
-
-    def measure():
-        blocks = optimal_total = greedy_total = 0
-        suboptimal = skipped = 0
-        for edges, interfere in block_instances(module):
-            blocks += 1
-            best = affinity.optimal_prune(dict(edges), interfere,
-                                          max_edges=14)
-            greedy = dict(edges)
-            affinity.greedy_prune(greedy, interfere)
-            greedy_kept = affinity.kept_multiplicity(greedy)
-            greedy_total += greedy_kept
-            if best is None:
-                skipped += 1
-                optimal_total += greedy_kept  # lower bound
-                continue
-            best_kept = affinity.kept_multiplicity(best)
-            optimal_total += best_kept
-            if best_kept > greedy_kept:
-                suboptimal += 1
-        return blocks, greedy_total, optimal_total, suboptimal, skipped
-
-    blocks, greedy_total, optimal_total, suboptimal, skipped = \
-        run_once(benchmark, measure)
-    collector.record(TABLE, suite_name, "blocks", blocks)
-    collector.record(TABLE, suite_name, "greedy-kept", greedy_total)
-    collector.record(TABLE, suite_name, "optimal-kept", optimal_total)
-    collector.record(TABLE, suite_name, "suboptimal-blocks", suboptimal)
-    collector.record(TABLE, suite_name, "too-big", skipped)
-    assert greedy_total <= optimal_total
-    # the paper's observation: the heuristic is near-exact in practice
-    if blocks:
-        assert suboptimal <= max(1, blocks // 10)
-
-
-def test_optimality_report(benchmark, collector, capsys):
-    run_once(benchmark, lambda: None)
-    if TABLE not in collector.tables:
-        pytest.skip("run with --benchmark-only to fill the table")
-    with capsys.disabled():
-        print()
-        print(collector.render(TABLE, baseline="blocks"))
-    collector.save(TABLE)
+def test_optimality_gap(benchmark, suites, collector, capsys):
+    rows = run_once(benchmark, optimality, suites)
+    # No baseline column: every count prints absolute.
+    save_table(collector, capsys, TABLE, rows, baseline=None)
+    for suite_name, row in rows.items():
+        assert row["greedy-kept"] <= row["optimal-kept"], suite_name
+        # the paper's observation: the heuristic is near-exact in practice
+        if row["blocks"]:
+            assert row["suboptimal-blocks"] <= max(1, row["blocks"] // 10), \
+                suite_name

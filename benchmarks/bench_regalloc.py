@@ -8,53 +8,15 @@ instructions.  Coalescing during out-of-SSA must not wreck
 colorability on these suites (spills stay rare and comparable).
 """
 
-import pytest
-
-from conftest import run_once
-from repro.metrics import count_moves
-from repro.pipeline import run_experiment
-from repro.regalloc import AllocationError, allocate_function
+from conftest import run_once, save_table
+from extensions import REGALLOC_SUITES, regalloc
 
 TABLE = "regalloc"
-SUITE_NAMES = ("VALcc1", "example1-8", "LAI_Large")
-EXPERIMENTS = ("Lphi,ABI+C", "Sphi+LABI+C", "LABI+C", "naiveABI+C")
 
 
-def allocate_suite(module):
-    moves = spills = 0
-    for function in module.iter_functions():
-        result = allocate_function(function)
-        spills += result.spill_instructions
-    moves = count_moves(module)
-    return moves, spills
-
-
-@pytest.mark.parametrize("suite_name", SUITE_NAMES)
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_allocated_moves(benchmark, suites, collector, suite_name,
-                         experiment):
-    suite = suites[suite_name]
-
-    def pipeline():
-        result = run_experiment(suite.module, experiment)
-        return allocate_suite(result.module)
-
-    moves, spills = run_once(benchmark, pipeline)
-    collector.record(TABLE, suite_name, experiment, moves)
-    collector.record(TABLE, f"{suite_name}-spills", experiment, spills)
-
-
-def test_regalloc_report(benchmark, collector, capsys):
-    run_once(benchmark, lambda: None)
-    if TABLE not in collector.tables:
-        pytest.skip("run with --benchmark-only to fill the table")
-    rows = collector.tables[TABLE]
-    for suite_name in SUITE_NAMES:
-        values = rows.get(suite_name, {})
-        if len(values) == len(EXPERIMENTS):
-            assert values["Lphi,ABI+C"] <= values["naiveABI+C"] + 2, \
-                suite_name
-    with capsys.disabled():
-        print()
-        print(collector.render(TABLE, baseline="Lphi,ABI+C"))
-    collector.save(TABLE)
+def test_allocated_moves(benchmark, suites, collector, capsys):
+    rows = run_once(benchmark, regalloc, suites)
+    save_table(collector, capsys, TABLE, rows, baseline="Lphi,ABI+C")
+    for suite_name in REGALLOC_SUITES:
+        values = rows[suite_name]
+        assert values["Lphi,ABI+C"] <= values["naiveABI+C"] + 2, suite_name

@@ -32,18 +32,19 @@ def test_table2(benchmark, suites, collector, suite_name, experiment):
 def test_table2_report(benchmark, suites, collector, capsys):
     run_once(benchmark, lambda: None)
     rows = collector.tables.get(TABLE, {})
-    for suite_name in SUITE_NAMES:
-        values = rows.get(suite_name, {})
-        if len(values) != len(EXPERIMENTS):
-            pytest.skip("run with --benchmark-only to fill the table")
-        ours = values["Lphi+C"]
-        # The headline claim: handling phis with the pinning coalescer
-        # needs no more moves than leaving everything to Chaitin.
-        assert ours <= values["C"], suite_name
+    if any(len(rows.get(suite_name, {})) != len(EXPERIMENTS)
+           for suite_name in SUITE_NAMES):
+        pytest.skip("run with --benchmark-only to fill the table")
     with capsys.disabled():
         print()
         print(collector.render(TABLE, baseline="Lphi+C"))
         print("paper (Table 2): VALcc1 193/+59/+3  VALcc2 170/+44/+13  "
               "example1-8 14/+3/+3  LAI_Large 438/+44/+48  "
               "SPECint 6803/+3135/-59")
+    # Saved first, so a failing claim still records what was measured.
     collector.save(TABLE)
+    for suite_name in SUITE_NAMES:
+        ours = rows[suite_name]["Lphi+C"]
+        # The headline claim: handling phis with the pinning coalescer
+        # needs no more moves than leaving everything to Chaitin.
+        assert ours <= rows[suite_name]["C"], suite_name

@@ -31,17 +31,19 @@ def test_table3(benchmark, suites, collector, suite_name, experiment):
 def test_table3_report(benchmark, suites, collector, capsys):
     run_once(benchmark, lambda: None)
     rows = collector.tables.get(TABLE, {})
-    for suite_name in SUITE_NAMES:
-        values = rows.get(suite_name, {})
-        if len(values) != len(EXPERIMENTS):
-            pytest.skip("run with --benchmark-only to fill the table")
-        ours = values["Lphi,ABI+C"]
-        assert ours <= values["LABI+C"], suite_name
-        assert ours <= values["naiveABI+C"], suite_name
+    if any(len(rows.get(suite_name, {})) != len(EXPERIMENTS)
+           for suite_name in SUITE_NAMES):
+        pytest.skip("run with --benchmark-only to fill the table")
     with capsys.disabled():
         print()
         print(collector.render(TABLE, baseline="Lphi,ABI+C"))
         print("paper (Table 3): VALcc1 242/+7/+3/+386  "
               "VALcc2 220/+15/+29/+449  example1-8 15/+3/+3/+18  "
               "LAI_Large 1085/+26/+62/+634  SPECint 23930/+413/+482/+38623")
+    # Saved first, so a failing claim still records what was measured.
     collector.save(TABLE)
+    for suite_name in SUITE_NAMES:
+        values = rows[suite_name]
+        ours = values["Lphi,ABI+C"]
+        assert ours <= values["LABI+C"], suite_name
+        assert ours <= values["naiveABI+C"], suite_name

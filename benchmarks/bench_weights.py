@@ -8,45 +8,20 @@ move-execution count over the verify runs, and report both.  The
 reproduction claim: the static metric induces the same ranking.
 """
 
-import pytest
-
-from conftest import run_once
-from repro.pipeline import run_experiment
-from repro.profile import dynamic_weighted_moves
+from conftest import run_once, save_table
+from extensions import WEIGHT_SUITES, WITH_ABI, weights
 
 TABLE = "weights"
-SUITE_NAMES = ("VALcc1", "LAI_Large")
-EXPERIMENTS = ("Lphi,ABI+C", "Sphi+LABI+C", "LABI+C", "naiveABI+C")
 
 
-@pytest.mark.parametrize("suite_name", SUITE_NAMES)
-def test_static_vs_dynamic(benchmark, suites, collector, suite_name):
-    suite = suites[suite_name]
-
-    def measure():
-        rows = {}
-        for experiment in EXPERIMENTS:
-            result = run_experiment(suite.module, experiment)
-            dynamic = dynamic_weighted_moves(result.module, suite.verify)
-            rows[experiment] = (result.weighted, dynamic)
-        return rows
-
-    rows = run_once(benchmark, measure)
-    for experiment, (static, dynamic) in rows.items():
-        collector.record(TABLE, f"{suite_name}-static", experiment, static)
-        collector.record(TABLE, f"{suite_name}-dynamic", experiment,
-                         dynamic)
-    # Ranking agreement between the approximation and the measurement.
-    static_rank = sorted(EXPERIMENTS, key=lambda e: rows[e][0])
-    dynamic_rank = sorted(EXPERIMENTS, key=lambda e: rows[e][1])
-    assert static_rank[0] == dynamic_rank[0] == "Lphi,ABI+C"
-
-
-def test_weights_report(benchmark, collector, capsys):
-    run_once(benchmark, lambda: None)
-    if TABLE not in collector.tables:
-        pytest.skip("run with --benchmark-only to fill the table")
-    with capsys.disabled():
-        print()
-        print(collector.render(TABLE, baseline="Lphi,ABI+C"))
-    collector.save(TABLE)
+def test_static_vs_dynamic(benchmark, suites, collector, capsys):
+    rows = run_once(benchmark, weights, suites)
+    save_table(collector, capsys, TABLE, rows, baseline="Lphi,ABI+C")
+    for suite_name in WEIGHT_SUITES:
+        static = rows[f"{suite_name}-static"]
+        dynamic = rows[f"{suite_name}-dynamic"]
+        # Ranking agreement between the approximation and the measurement.
+        static_rank = sorted(WITH_ABI, key=static.get)
+        dynamic_rank = sorted(WITH_ABI, key=dynamic.get)
+        assert static_rank[0] == dynamic_rank[0] == "Lphi,ABI+C", \
+            suite_name

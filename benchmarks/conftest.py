@@ -104,7 +104,8 @@ class TableCollector:
         os.makedirs(RESULTS_DIR, exist_ok=True)
         path = os.path.join(RESULTS_DIR, f"{name}.json")
         with open(path, "w") as handle:
-            json.dump(self.tables, handle, indent=2, sort_keys=True)
+            json.dump({name: self.tables[name]}, handle, indent=2,
+                      sort_keys=True)
         docs = [d for d in self.stats_docs if d.get("table") == name]
         if docs:
             from repro.observability import COLLECTION_SCHEMA, validate_stats
@@ -120,6 +121,17 @@ class TableCollector:
 @pytest.fixture(scope="session")
 def collector():
     return TableCollector()
+
+
+def save_table(collector, capsys, table, rows, baseline):
+    """Record the whole *rows* (``{row: {column: value}}``) as *table*,
+    print it and save it -- before the caller asserts anything about
+    it, so a failing claim still records what was measured."""
+    collector.tables[table] = rows
+    with capsys.disabled():
+        print()
+        print(collector.render(table, baseline=baseline))
+    collector.save(table)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

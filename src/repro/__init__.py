@@ -9,7 +9,7 @@ A machine-level SSA compiler middle-end in pure Python:
 * :mod:`repro.machine` -- ST120-like target, ABI, constraint collection;
 * :mod:`repro.analysis` -- dominance, loops, liveness, interference;
 * :mod:`repro.ssa` -- pruned SSA construction, pinning legality,
-  psi-SSA;
+  copy propagation;
 * :mod:`repro.outofssa` -- the paper's pinning-based coalescer and every
   baseline it is compared against;
 * :mod:`repro.interp` -- the reference interpreter (correctness oracle);

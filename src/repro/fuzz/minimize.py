@@ -29,8 +29,8 @@ from ..ir.instructions import Instruction, Operand
 from ..ir.types import Imm
 from ..ir.printer import format_module
 from ..lai import parse_module
-from .differential import (ALL_CHECKS, DEFAULT_INVARIANTS, Divergence,
-                           check_module)
+from .differential import (ALL_CHECKS, ANCHOR_COMPOSITION,
+                           DEFAULT_INVARIANTS, Divergence, check_module)
 
 Verify = Sequence[tuple[str, Sequence[int]]]
 Predicate = Callable[[str, Verify], bool]
@@ -53,22 +53,28 @@ def divergence_predicate(divergence: Divergence,
 
     Only the failing check runs (and for composition/variant failures
     only the failing experiment), so minimization stays fast even when
-    the original sweep ran everything.
+    the original sweep ran everything.  A ``parallel`` or ``cache``
+    failure compares against the serial anchor output, so the anchor
+    composition runs with it.
     """
     check = divergence.check if divergence.check in ALL_CHECKS \
         else "compositions"
+    checks: tuple = (check,)
     experiments: Optional[list[str]] = None
     if check == "compositions" and divergence.composition:
         experiments = [divergence.composition]
+    if check in ("parallel", "cache"):
+        checks = ("compositions", check)
+        experiments = [ANCHOR_COMPOSITION]
     invariants = DEFAULT_INVARIANTS
-    if check == "invariants" and "<=" in divergence.composition:
-        lhs, rhs = divergence.composition.split("<=", 1)
-        invariants = ((lhs, rhs),)
-        experiments = [lhs, rhs]
+    if check == "invariants":
+        checks = ("compositions", "invariants")
+        if "<=" in divergence.composition:
+            lhs, rhs = divergence.composition.split("<=", 1)
+            invariants = ((lhs, rhs),)
+            experiments = [lhs, rhs]
 
     def predicate(source: str, verify: Verify) -> bool:
-        checks = (check,) if check != "invariants" \
-            else ("compositions", "invariants")
         result = check_module(source, verify, checks=checks,
                               experiments=experiments,
                               invariants=invariants, jobs=jobs)

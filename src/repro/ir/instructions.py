@@ -28,8 +28,9 @@ Notable opcodes
     operand is *tied* to the destination and must share its resource
     (paper Figure 1, statements S1 and S6).
 ``psi``
-    Predicated merge of the psi-SSA extension (paper section 5 mentions
-    the LAO uses psi-SSA [13]); see :mod:`repro.ssa.psi`.
+    Predicated merge of psi-SSA (paper section 5 mentions the LAO uses
+    psi-SSA [13]).  It is part of the LAI language (parser, printer,
+    validator and both interpreters) but no pass produces or lowers it.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class OpSpec:
         Derived from ``kernel`` (not a constructor argument): use
         values to the 1-tuple of the def value -- ``wrap32`` of the
         kernel's result, or ``1``/``0`` for a predicate.  ``None``
-        exactly when ``kernel`` is.  The reference interpreter and
-        constant folding call this form.
+        exactly when ``kernel`` is.  The reference interpreter calls
+        this form; the compiled tier folds all-immediate operations
+        with it.
     tied:
         Pairs ``(def_index, use_index)`` whose operands must share a
         resource -- the 2-operand constraints collected by ``pinningABI``.

@@ -41,8 +41,8 @@ class RegClass(enum.Enum):
         the paper treats SP constraints separately (``pinningSP`` is always
         run, see section 5).
     ``COND``
-        Condition/guard registers for predication (used by the psi-SSA
-        extension).
+        Condition/guard registers for predication (the guards of the
+        ``psi`` opcode).
     """
 
     GPR = "gpr"

@@ -12,7 +12,7 @@ We model what the algorithms observe:
 * six pointer registers ``P0``-``P5`` (first two carry pointer
   arguments, as ``.input P^P0`` in Figure 1),
 * the dedicated stack pointer ``SP``,
-* guard registers ``G0``-``G3`` for the psi-SSA extension,
+* guard registers ``G0``-``G3`` for the ``psi`` opcode's guards,
 * 2-operand instructions ``autoadd``, ``more``, ``mac`` whose destination
   is tied to their first source.
 """

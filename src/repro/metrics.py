@@ -86,40 +86,3 @@ def count_phis(item: Function | Module) -> int:
     that :func:`count_moves` will never see)."""
     return sum(sum(len(block.phis) for block in f.iter_blocks())
                for f in functions_of(item))
-
-
-#: A simple latency model in the spirit of a single-issue DSP: moves and
-#: simple ALU ops take one cycle, multiplies and memory two to three,
-#: calls an arbitrary fixed overhead.  Used by :func:`static_cycles` to
-#: give the tables a second, move-independent cost axis.
-CYCLE_COSTS = {
-    "copy": 1, "make": 1, "add": 1, "sub": 1, "and": 1, "or": 1,
-    "xor": 1, "shl": 1, "shr": 1, "min": 1, "max": 1, "neg": 1,
-    "not": 1, "cmpeq": 1, "cmpne": 1, "cmplt": 1, "cmple": 1,
-    "cmpgt": 1, "cmpge": 1, "select": 1, "autoadd": 1, "more": 1,
-    "mul": 2, "mac": 2, "div": 8, "rem": 8,
-    "load": 3, "store": 1, "readsp": 1,
-    "br": 1, "cbr": 1, "ret": 1, "input": 0, "call": 5,
-    "phi": 0, "pcopy": 0, "psi": 1,
-}
-
-
-def static_cycles(item: Function | Module, base: int = 5,
-                  analyses=None) -> int:
-    """Sum of per-opcode cycle costs, weighted by ``base**depth``.
-
-    The move-count tables answer "how many copies remain"; this metric
-    answers "how much do they matter against everything else" -- a move
-    removed from a depth-2 loop saves 25 weighted cycles, one removed
-    from straight-line code saves 1.  ``analyses`` works as in
-    :func:`weighted_moves`.
-    """
-    total = 0
-    for function in functions_of(item):
-        loops = analyses.loops(function) if analyses is not None \
-            else LoopForest(function)
-        for block in function.iter_blocks():
-            weight = base ** loops.depth(block.label)
-            for instr in block.instructions():
-                total += CYCLE_COSTS.get(instr.opcode, 1) * weight
-    return total

@@ -4,13 +4,11 @@
   reconstruction engine ("out-of-pinned-SSA" in the paper's Table 1);
 * :func:`coalesce_phis` -- the paper's contribution, ``pinningφ``;
 * :func:`sreedhar_to_cssa` -- Sreedhar et al. Method III + pinningCSSA;
-* :func:`briggs_out_of_ssa` -- naive copies-in-predecessors translation;
 * :func:`naive_abi` -- late local ABI lowering;
 * :func:`aggressive_coalesce` -- Chaitin-style repeated coalescing;
 * :func:`sequentialize_function` -- parallel copy sequentialization.
 """
 
-from .briggs import briggs_out_of_ssa
 from .chaitin import aggressive_coalesce
 from .leung_george import OutOfSSAStats, out_of_pinned_ssa
 from .naive_abi import naive_abi
@@ -20,8 +18,8 @@ from .pinning_coalescer import (CoalescingStats, ResourcePool, coalesce_phis)
 from .sreedhar import SreedharStats, sreedhar_to_cssa
 
 __all__ = [
-    "briggs_out_of_ssa", "aggressive_coalesce", "OutOfSSAStats",
-    "out_of_pinned_ssa", "naive_abi", "expand_pcopy",
-    "sequentialize_function", "sequentialize_pairs", "CoalescingStats",
-    "ResourcePool", "coalesce_phis", "SreedharStats", "sreedhar_to_cssa",
+    "aggressive_coalesce", "OutOfSSAStats", "out_of_pinned_ssa",
+    "naive_abi", "expand_pcopy", "sequentialize_function",
+    "sequentialize_pairs", "CoalescingStats", "ResourcePool",
+    "coalesce_phis", "SreedharStats", "sreedhar_to_cssa",
 ]

@@ -1,15 +1,11 @@
-"""SSA form: construction, pinning model, psi-SSA extension."""
+"""SSA form: construction, pinning model, copy propagation."""
 
 from .construction import SSAConstructionError, construct_ssa
-from .gvn import value_number
 from .copyprop import eliminate_dead_code, optimize_ssa, propagate_copies
 from .pinning import (PinningError, check_function_pinning, pin_definition,
                       resource_of, variable_resources)
-from .psi import PsiStats, lower_psi, make_psi_conventional
-from .simplify import fold_constants
 
 __all__ = ["SSAConstructionError", "construct_ssa", "PinningError",
            "check_function_pinning", "pin_definition", "resource_of",
            "variable_resources", "eliminate_dead_code", "optimize_ssa",
-           "propagate_copies", "PsiStats", "lower_psi",
-           "make_psi_conventional", "value_number", "fold_constants"]
+           "propagate_copies"]

@@ -1,62 +1,11 @@
-"""DOT exporters and the conventional-SSA checker."""
+"""The conventional-SSA checker."""
 
-import pytest
-
-from repro.ir.dot import (affinity_to_dot, cfg_to_dot, domtree_to_dot,
-                          interference_to_dot)
 from repro.outofssa import out_of_pinned_ssa, sreedhar_to_cssa
 from repro.outofssa.cssa_check import (check_conventional,
                                        phi_congruence_classes)
 from repro.pipeline import ensure_ssa
 
 from helpers import DIAMOND, SWAP_LOOP, function_of, module_of
-
-
-class TestDot:
-    def test_cfg_dot_structure(self):
-        f = function_of(DIAMOND)
-        dot = cfg_to_dot(f)
-        assert dot.startswith("digraph")
-        assert '"entry" -> "left"' in dot
-        assert '"left" -> "join"' in dot
-        assert "phi" in dot  # instructions included
-
-    def test_cfg_dot_without_code(self):
-        f = function_of(DIAMOND)
-        dot = cfg_to_dot(f, include_code=False)
-        assert "phi" not in dot
-
-    def test_domtree_dot(self):
-        f = function_of(DIAMOND)
-        dot = domtree_to_dot(f)
-        assert '"entry" -> "join"' in dot
-        assert '"left" -> "join"' not in dot
-
-    def test_interference_dot(self):
-        f = function_of("""
-func f
-entry:
-    input a
-    add x, a, 1
-    add y, a, 2
-    copy z, x
-    add r, z, y
-    ret r
-endfunc
-""")
-        dot = interference_to_dot(f)
-        assert dot.startswith("graph")
-        assert '"x" -- "y"' in dot or '"y" -- "x"' in dot
-        assert "dashed" in dot  # the move edge
-
-    def test_affinity_dot(self):
-        m = module_of(SWAP_LOOP)
-        f = m.function("swaploop")
-        ensure_ssa(f)
-        dot = affinity_to_dot(f, "head")
-        assert dot.startswith("graph")
-        assert "--" in dot
-        assert "dotted" in dot  # x and y interfere (swap)
 
 
 class TestCssaCheck:

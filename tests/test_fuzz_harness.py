@@ -144,6 +144,31 @@ def test_divergence_predicate_false_on_healthy_program():
         is False
 
 
+#: Stand-ins for the ``cache`` and ``parallel`` tasks whose output
+#: differs from any serial anchor.
+SKEWED_TASKS = {
+    "cache": ("_cache_round_trip", lambda source, verify: ("", "", 10**6)),
+    "parallel": ("_parallel_output", lambda module, verify, jobs: ""),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SKEWED_TASKS))
+def test_divergence_predicate_reproduces_anchored_checks(monkeypatch, check):
+    """A ``cache`` or ``parallel`` divergence compares against the
+    serial anchor output, so its predicate must run the anchor too."""
+    if check == "parallel" and not fork_available():
+        pytest.skip("the parallel check needs the fork start method")
+    monkeypatch.setattr(differential, *SKEWED_TASKS[check])
+    source, verify = _program(11, n_functions=2, config=SMOKE)
+    found = check_module(source, verify, checks=("compositions", check),
+                         experiments=[differential.ANCHOR_COMPOSITION],
+                         jobs=1)
+    divergence = found.divergences[0]
+    assert divergence.key() == (check, differential.ANCHOR_COMPOSITION,
+                                "mismatch")
+    assert divergence_predicate(divergence, jobs=1)(source, verify)
+
+
 # ----------------------------------------------------------------------
 # Repro files and corpora
 # ----------------------------------------------------------------------
@@ -254,9 +279,12 @@ def test_pooled_check_survives_a_killed_worker(monkeypatch, tmp_path):
         return original_oracle(function, *args, **kwargs)
 
     def waiting_plan(jobs, verify, tracers, cache, target, prefix=None):
-        if os.getpid() != parent and cache is None:  # the parallel check
+        if os.getpid() != parent and cache is None and not started.exists():
+            # The parallel check's first run never finishes: the broken
+            # pool terminates this worker, so the run is still in flight
+            # at the death however late the parent notices it.
             started.touch()
-            _wait_for(died)
+            _wait_for(tmp_path / "never")
         return original_plan(jobs, verify, tracers, cache, target, prefix)
 
     monkeypatch.setattr(differential, "oracle_cross_check", dying_oracle)

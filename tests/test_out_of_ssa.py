@@ -8,7 +8,7 @@ from repro.ir import format_function, validate_function
 from repro.ir.types import PhysReg, Var
 from repro.lai import parse_function, parse_module
 from repro.metrics import count_moves
-from repro.outofssa import briggs_out_of_ssa, out_of_pinned_ssa
+from repro.outofssa import out_of_pinned_ssa
 from repro.ssa import PinningError
 
 from helpers import assert_equivalent, function_of, module_of
@@ -312,41 +312,3 @@ endfunc
         f = function_of(src)
         out_of_pinned_ssa(f, check_pinning=False)
         validate_function(f, allow_phis=False)
-
-
-class TestBriggs:
-    def test_briggs_strips_nothing_by_default(self):
-        src = """
-func f
-entry:
-    input a^R0
-    br next
-next:
-    x = phi(a:entry)
-    ret x^R0
-endfunc
-"""
-        f = function_of(src)
-        briggs_out_of_ssa(f)
-        validate_function(f, allow_phis=False)
-        # Briggs leaves the naive copies (x <- R0, R0 <- x); the later
-        # Chaitin pass removes them -- the paper's C experiments.
-        assert count_moves(f) == 2
-        from repro.outofssa import aggressive_coalesce
-
-        aggressive_coalesce(f)
-        assert count_moves(f) == 0
-
-    def test_briggs_pin_free(self):
-        src = """
-func f
-entry:
-    input a^R0
-    ret a^R0
-endfunc
-"""
-        f = function_of(src)
-        briggs_out_of_ssa(f, keep_abi_pins=False)
-        assert count_moves(f) == 0
-        ret = f.entry_block.terminator
-        assert isinstance(ret.uses[0].value, Var)

@@ -1,13 +1,17 @@
 #!/usr/bin/env python
 """Docs integrity checker -- the CI ``docs-lint`` job.
 
-Two classes of rot this catches, both of which have bitten grown
+Three classes of rot this catches, all of which have bitten grown
 codebases before:
 
 * **dead links** -- every intra-repository markdown link in
-  ``README.md`` and ``docs/*.md`` must point at a file that exists
-  (external ``http(s)``/``mailto`` targets and pure ``#anchors`` are
-  skipped);
+  ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` and ``docs/*.md``
+  must point at a file that exists (external ``http(s)``/``mailto``
+  targets and pure ``#anchors`` are skipped);
+* **dead paths** -- every backticked repository path in those files
+  (``repro/...py``, optionally under ``src/``, ``benchmarks/...py``,
+  ``tests/...py``, ``tools/...py``, ``examples/...``) must exist, so a
+  deleted module cannot stay documented;
 * **dangling code references** -- every dotted ``module.symbol``
   reference in ``docs/paper_map.md`` must resolve against the actual
   code, by importing the module and walking attributes.  The map is
@@ -52,10 +56,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SPAN_RE = re.compile(r"`([^`]+)`")
 EXTERNAL = ("http://", "https://", "mailto:")
+PATH_RE = re.compile(r"(?<![\w/.])((?:src/)?repro/[\w/]*\.py"
+                     r"|(?:benchmarks|tests|tools)/[\w/-]*\.py"
+                     r"|examples/[\w/.-]*\w)")
 
 
 def iter_markdown_files():
-    yield os.path.join(REPO, "README.md")
+    for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        yield os.path.join(REPO, name)
     docs = os.path.join(REPO, "docs")
     for name in sorted(os.listdir(docs)):
         if name.endswith(".md"):
@@ -79,6 +87,23 @@ def check_links(path: str) -> list[str]:
                     problems.append(
                         f"{os.path.relpath(path, REPO)}:{lineno}: "
                         f"dead link -> {target}")
+    return problems
+
+
+def check_paths(path: str) -> list[str]:
+    """Backticked repository paths in *path* that do not exist
+    (``repro/...`` paths are resolved under ``src/``)."""
+    problems = []
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, 1):
+            for span in SPAN_RE.findall(line):
+                for ref in PATH_RE.findall(span):
+                    root = os.path.join(REPO, "src") \
+                        if ref.startswith("repro/") else REPO
+                    if not os.path.exists(os.path.join(root, ref)):
+                        problems.append(
+                            f"{os.path.relpath(path, REPO)}:{lineno}: "
+                            f"dead path -> {ref}")
     return problems
 
 
@@ -219,9 +244,9 @@ def main(argv=None) -> int:
 
     problems = []
     for path in iter_markdown_files():
-        found = check_links(path)
+        found = check_links(path) + check_paths(path)
         problems.extend(found)
-        print(f"links: {os.path.relpath(path, REPO)}: "
+        print(f"links and paths: {os.path.relpath(path, REPO)}: "
               f"{'ok' if not found else f'{len(found)} dead'}")
 
     try:
